@@ -18,23 +18,28 @@
 #   6. the docs gate (scripts/check_docs.sh): every src/ subdir is in
 #      docs/architecture.md, every ouessant_bench flag is documented in
 #      EXPERIMENTS.md, every path the docs reference exists
-#   7. the raw-speed guard: the sim_speed scenario (batched bus windows +
+#   7. the golden stage: every committed row of BENCH_serve.json,
+#      BENCH_chain.json, BENCH_dpr.json and BENCH_fleet.json must equal
+#      a fresh `ouessant_bench --filter <family>` run metric for metric,
+#      except a named list of host wall-clock keys — a change to a
+#      simulated result re-records its file in the same change
+#   8. the raw-speed guard: the sim_speed scenario (batched bus windows +
 #      decode cache on vs off) must stay within 2x of the committed
 #      BENCH_speed.json cycles/sec baseline
-#   8. the snapshot-determinism stage: the mid-run restore bit-identity
+#   9. the snapshot-determinism stage: the mid-run restore bit-identity
 #      proofs (E1, serve, fault-armed) re-run on the sanitizer build,
 #      then the bench-level --snapshot/--restore flow round-trips a
 #      serve_mixed image through disk
-#   9. the slot-farm stage: test_dpr on the sanitizer build (exact ICAP
+#  10. the slot-farm stage: test_dpr on the sanitizer build (exact ICAP
 #      cycle accounting, preemptive swaps, cache LRU), then the DPRF
 #      scenarios with a guard that the demand-driven swap scheduler
 #      beats static slot assignment on the shifted demand mix
-#  10. the chain stage: test_chain on the sanitizer build (CHAIN CSR
+#  11. the chain stage: test_chain on the sanitizer build (CHAIN CSR
 #      semantics, ChainLink timing, linked vs store-and-forward
 #      bit-identity, the mid-batch snapshot round trip), then the CHAIN
 #      scenarios with a guard that the p2p linked mode beats the
 #      store-and-forward ablation on cycles and bus beats
-#  11. the fleet-observability stage: a 16-shard fault-armed fleet run
+#  12. the fleet-observability stage: a 16-shard fault-armed fleet run
 #      twice, unarmed vs fully armed (sampling profiler + quantile
 #      sketches + SLO monitors + flight recorders) — every shard must be
 #      bit-identical and the armed run within 1.5x unarmed host time;
@@ -52,6 +57,36 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo "==== tier-1: docs consistency gate ===="
 scripts/check_docs.sh build/bench/ouessant_bench
+
+echo "==== tier-1: committed BENCH goldens ===="
+for rec in serve:BENCH_serve.json CHAIN:BENCH_chain.json \
+           DPRF:BENCH_dpr.json FLEET:BENCH_fleet.json; do
+  family="${rec%%:*}" file="${rec#*:}"
+  ./build/bench/ouessant_bench --filter "${family}" \
+    --json "build/bench/golden_${file}" > /dev/null
+  python3 - "${file}" "build/bench/golden_${file}" <<'EOF'
+import json, sys
+# Host wall-clock metrics: the only keys allowed to differ run to run.
+HOST_TIME_KEYS = {"cold_boot_ms", "fork_ms_per_shard", "warmboot_speedup"}
+def rows(path):
+    return {(r["scenario"], json.dumps(r["params"], sort_keys=True)):
+            r["metrics"] for r in json.load(open(path))["results"]}
+committed, fresh = rows(sys.argv[1]), rows(sys.argv[2])
+bad = []
+for key, want in committed.items():
+    got = fresh.get(key)
+    if got is None:
+        bad.append(f"{key}: row missing from the fresh run")
+        continue
+    for m in sorted((set(want) | set(got)) - HOST_TIME_KEYS):
+        if want.get(m) != got.get(m):
+            bad.append(f"{key} {m}: committed {want.get(m)} fresh {got.get(m)}")
+if bad:
+    sys.exit(f"golden guard: {sys.argv[1]} is stale:\n  " + "\n  ".join(bad))
+print(f"  {sys.argv[1]}: {len(committed)} rows match")
+EOF
+done
+echo "golden guard OK"
 
 echo "==== tier-1: ASan+UBSan build + ctest ===="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"

@@ -1,5 +1,7 @@
 #include "drv/chain.hpp"
 
+#include <algorithm>
+
 #include "ouessant/codegen.hpp"
 
 namespace ouessant::drv {
@@ -39,16 +41,33 @@ SessionLayout tail_layout(const ChainLayout& cl) {
 
 }  // namespace
 
+ChainSession::ChainSession(cpu::Gpp& gpp, mem::Sram& mem, core::Ocp& ocp,
+                           SessionLayout layout, u32 block_words)
+    : gpp_(gpp),
+      block_words_(block_words),
+      max_batch_(block_words == 0
+                     ? 0
+                     : std::min(layout.in_words, layout.out_words) /
+                           block_words),
+      // Nothing to forward: the one stage runs the ordinary batch
+      // program, exactly like a store-and-forward stage.
+      mode_(ChainMode::kStoreForward) {
+  if (max_batch_ == 0) {
+    throw ConfigError("ChainSession: " + ocp.name() +
+                      " windows hold no whole block");
+  }
+  stages_.emplace_back(gpp, mem, ocp, layout);
+}
+
 ChainSession::ChainSession(cpu::Gpp& gpp, mem::Sram& mem, core::Ocp& head,
                            core::Ocp& tail, fifo::ChainLink& link,
                            ChainLayout layout, ChainMode mode)
     : gpp_(gpp),
-      layout_(layout),
+      block_words_(layout.block_words),
+      max_batch_(layout.max_batch),
       mode_(mode),
-      link_(link),
-      head_(gpp, mem, head, head_layout(layout)),
-      tail_(gpp, mem, tail, tail_layout(layout)) {
-  if (layout_.block_words == 0 || layout_.max_batch == 0) {
+      link_(&link) {
+  if (block_words_ == 0 || max_batch_ == 0) {
     throw ConfigError("ChainSession: zero-sized chain layout");
   }
   if (head.output_fifos().size() != 1 || tail.input_fifos().size() != 1) {
@@ -59,47 +78,50 @@ ChainSession::ChainSession(cpu::Gpp& gpp, mem::Sram& mem, core::Ocp& head,
         " outputs, tail " + tail.name() + " has " +
         std::to_string(tail.input_fifos().size()) + " inputs)");
   }
-  link_.bind(*head.output_fifos().front(), *tail.input_fifos().front());
+  stages_.reserve(2);
+  stages_.emplace_back(gpp, mem, head, head_layout(layout));
+  stages_.emplace_back(gpp, mem, tail, tail_layout(layout));
+  link.bind(*head.output_fifos().front(), *tail.input_fifos().front());
   // The CHAIN CSR bit is the hardware-visible arm switch: BusInterface
   // reports every transition and the link gates on it, so the conduit's
   // state is exactly what software last programmed — including across a
   // snapshot restore (the bit is re-derived from the restored CTRL).
   head.iface().set_chain_listener(
-      [this](bool on) { link_.set_enabled(on); });
+      [this](bool on) { link_->set_enabled(on); });
 }
 
 void ChainSession::install(u32 batch, bool timed_program) {
-  if (batch == 0 || batch > layout_.max_batch) {
+  if (batch == 0 || batch > max_batch_) {
     throw ConfigError("ChainSession: batch " + std::to_string(batch) +
-                      " outside 1.." + std::to_string(layout_.max_batch));
+                      " outside 1.." + std::to_string(max_batch_));
   }
   core::StreamJob per_block;
-  per_block.in_words = layout_.block_words;
-  per_block.out_words = layout_.block_words;
-  per_block.burst = layout_.block_words;
+  per_block.in_words = block_words_;
+  per_block.out_words = block_words_;
+  per_block.burst = block_words_;
   per_block.use_loop = true;
   if (mode_ == ChainMode::kLinked) {
-    head_.install(core::build_chain_head_program(per_block, batch),
-                  timed_program);
-    tail_.install(core::build_chain_tail_program(per_block, batch),
-                  timed_program);
-    if (!head_.driver().chain_shadow()) head_.driver().enable_chain(true);
+    head().install(core::build_chain_head_program(per_block, batch),
+                   timed_program);
+    tail().install(core::build_chain_tail_program(per_block, batch),
+                   timed_program);
+    if (!head().driver().chain_shadow()) head().driver().enable_chain(true);
   } else {
-    head_.install(core::build_batch_program(per_block, batch), timed_program);
-    tail_.install(core::build_batch_program(per_block, batch), timed_program);
+    const core::Program prog = core::build_batch_program(per_block, batch);
+    for (OcpSession& s : stages_) s.install(prog, timed_program);
   }
 }
 
 void ChainSession::put_input(const std::vector<u32>& words) {
-  if (words.size() > layout_.max_batch * layout_.block_words) {
+  if (words.size() > max_batch_ * block_words_) {
     throw ConfigError("ChainSession::put_input: size exceeds window");
   }
-  head_.memory().load(layout_.in_base, words);
+  head().memory().load(head().layout().in_base, words);
 }
 
 std::vector<u32> ChainSession::get_output(u32 words) const {
-  return const_cast<OcpSession&>(tail_).memory().dump(layout_.out_base,
-                                                      words);
+  auto& last = const_cast<OcpSession&>(stages_.back());
+  return last.memory().dump(last.layout().out_base, words);
 }
 
 u64 ChainSession::run_irq(u64 timeout) {
@@ -108,84 +130,91 @@ u64 ChainSession::run_irq(u64 timeout) {
     // Tail first: its exec parks on the empty input FIFO, so no word the
     // head emits can ever find the consumer unarmed. The head runs with
     // IE off — its latched D is acknowledged after the chain retires.
-    tail_.driver().enable_irq(true);
-    tail_.driver().start();
-    head_.driver().start();
-    tail_.driver().wait_done_irq(timeout);
-    if (!head_.driver().done_bit_set()) {
-      throw SimError("ChainSession: tail " + tail_.ocp().name() +
-                     " completed but head " + head_.ocp().name() +
+    tail().driver().enable_irq(true);
+    tail().driver().start();
+    head().driver().start();
+    tail().driver().wait_done_irq(timeout);
+    if (!head().driver().done_bit_set()) {
+      throw SimError("ChainSession: tail " + tail().ocp().name() +
+                     " completed but head " + head().ocp().name() +
                      " has no D latched — the chain retired out of order");
     }
-    head_.driver().clear_done();
+    head().driver().clear_done();
   } else {
-    head_.run_irq(timeout);
-    tail_.run_irq(timeout);
+    for (OcpSession& s : stages_) s.run_irq(timeout);
   }
-  stage_ = Stage::kIdle;
+  in_flight_ = false;
   return gpp_.now() - t0;
 }
 
 void ChainSession::start_async() {
-  if (stage_ != Stage::kIdle) {
+  if (in_flight_) {
     throw SimError("ChainSession: start_async while a chain is in flight");
   }
+  stage_since_ = 0;
   if (mode_ == ChainMode::kLinked) {
-    tail_.start_async();
-    head_.start_async();
-    stage_ = Stage::kTail;
+    tail().start_async();
+    head().start_async();
+    stage_ = stage_count() - 1;
   } else {
-    head_.start_async();
-    stage_ = Stage::kHead;
+    head().start_async();
+    stage_ = 0;
   }
+  in_flight_ = true;
 }
 
 void ChainSession::advance_to_tail() {
-  if (stage_ != Stage::kHead) {
+  if (!awaiting_tail()) {
     throw SimError("ChainSession: advance_to_tail with no head stage open");
   }
-  head_.driver().clear_done();
-  tail_.start_async();
-  stage_ = Stage::kTail;
+  head().driver().clear_done();
+  stage_since_ = gpp_.now();
+  tail().start_async();
+  stage_ = stage_count() - 1;
 }
 
 void ChainSession::retire_ack() {
   // Fault paths can retire a chain whose head never reached EOP — the
   // conditional keeps the ack idempotent there; the happy linked path
   // always finds (and clears) the latched D.
-  if (mode_ == ChainMode::kLinked && head_.driver().done_bit_set()) {
-    head_.driver().clear_done();
+  if (mode_ == ChainMode::kLinked && head().driver().done_bit_set()) {
+    head().driver().clear_done();
   }
-  stage_ = Stage::kIdle;
+  in_flight_ = false;
 }
 
 void ChainSession::recover() {
-  head_.recover();
-  tail_.recover();
-  link_.flush();
-  stage_ = Stage::kIdle;
+  for (OcpSession& s : stages_) s.recover();
+  if (link_ != nullptr) link_->flush();
+  in_flight_ = false;
 }
 
 void ChainSession::set_tracer(obs::EventTracer* tracer) {
-  head_.set_tracer(tracer);
-  tail_.set_tracer(tracer);
+  for (OcpSession& s : stages_) s.set_tracer(tracer);
 }
 
 void ChainSession::save_state(snap::StateWriter& w) {
-  head_.driver().save_state(w);
-  tail_.driver().save_state(w);
-  w.write_u8("chain_stage", static_cast<u8>(stage_));
+  for (OcpSession& s : stages_) s.driver().save_state(w);
+  if (stage_count() == 1) return;
+  // 0 = idle, i + 1 = stage i in flight.
+  w.write_u8("chain_stage", in_flight_ ? static_cast<u8>(stage_ + 1) : 0);
+  if (advanced()) w.write_u64("stage_since", stage_since_);
 }
 
 void ChainSession::restore_state(snap::StateReader& r) {
-  head_.driver().restore_state(r);
-  tail_.driver().restore_state(r);
+  for (OcpSession& s : stages_) s.driver().restore_state(r);
+  in_flight_ = false;
+  stage_ = 0;
+  stage_since_ = 0;
+  if (stage_count() == 1) return;
   const u8 stage = r.read_u8("chain_stage");
-  if (stage > static_cast<u8>(Stage::kTail)) {
+  if (stage > stage_count()) {
     throw snap::SnapshotError("ChainSession: bad stage " +
                               std::to_string(stage));
   }
-  stage_ = static_cast<Stage>(stage);
+  in_flight_ = stage != 0;
+  if (in_flight_) stage_ = stage - 1u;
+  if (advanced()) stage_since_ = r.read_u64("stage_since");
 }
 
 }  // namespace ouessant::drv

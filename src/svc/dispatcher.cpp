@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "ouessant/codegen.hpp"
+#include "svc/slots.hpp"
 #include "svc/workload.hpp"
 
 namespace ouessant::svc {
@@ -52,77 +52,27 @@ Dispatcher::Dispatcher(sim::Kernel& kernel, std::string name, cpu::Gpp& gpp,
       irq_ctl_base_(irq_ctl_base),
       queue_(queue_depth) {}
 
-u32 Dispatcher::add_worker(core::Ocp& ocp, JobKind kind,
-                           drv::SessionLayout layout, u32 max_batch) {
+u32 Dispatcher::add_worker(std::unique_ptr<drv::ChainSession> session,
+                           JobKind kind, u32 max_batch) {
   if (max_batch == 0) {
     throw ConfigError("Dispatcher: max_batch must be >= 1");
   }
-  const u32 block = block_words(kind);
-  if (layout.in_words < max_batch * block ||
-      layout.out_words < max_batch * block) {
-    throw ConfigError("Dispatcher: layout too small for max_batch blocks");
+  if (session->block_words() != block_words(kind) ||
+      session->max_batch() < max_batch) {
+    throw ConfigError("Dispatcher: session too small for max_batch blocks");
   }
   Worker w;
-  w.session = std::make_unique<drv::OcpSession>(gpp_, mem_, ocp, layout);
+  // The retiring (last) stage's line is attached first, so a worker's
+  // first source is always the one its batches complete on.
+  w.irq_sources.resize(session->stage_count());
+  for (u32 s = session->stage_count(); s-- > 0;) {
+    w.irq_sources[s] = irq_ctl_.attach(session->stage(s).ocp().irq());
+  }
+  w.session = std::move(session);
   w.kind = kind;
   w.max_batch = max_batch;
-  w.irq_source = irq_ctl_.attach(ocp.irq());
   workers_.push_back(std::move(w));
   return static_cast<u32>(workers_.size() - 1);
-}
-
-u32 Dispatcher::add_chain_worker(core::Ocp& head, core::Ocp& tail,
-                                 fifo::ChainLink& link, JobKind kind,
-                                 drv::ChainLayout layout, u32 max_batch,
-                                 drv::ChainMode mode) {
-  if (max_batch == 0) {
-    throw ConfigError("Dispatcher: max_batch must be >= 1");
-  }
-  if (layout.block_words != block_words(kind) ||
-      layout.max_batch < max_batch) {
-    throw ConfigError("Dispatcher: chain layout too small for max_batch");
-  }
-  Worker w;
-  w.chain = std::make_unique<drv::ChainSession>(gpp_, mem_, head, tail, link,
-                                                layout, mode);
-  w.kind = kind;
-  w.max_batch = max_batch;
-  w.irq_source = irq_ctl_.attach(tail.irq());
-  w.head_irq_source = irq_ctl_.attach(head.irq());
-  workers_.push_back(std::move(w));
-  return static_cast<u32>(workers_.size() - 1);
-}
-
-drv::OcpDriver& Dispatcher::retire_driver(Worker& w) {
-  return w.chain ? w.chain->tail().driver() : w.session->driver();
-}
-
-drv::OcpDriver& Dispatcher::active_driver(Worker& w) {
-  if (w.chain) {
-    return w.chain->awaiting_tail() ? w.chain->head().driver()
-                                    : w.chain->tail().driver();
-  }
-  return w.session->driver();
-}
-
-core::Ocp& Dispatcher::worker_ocp(const Worker& w) {
-  return w.chain ? w.chain->tail().ocp() : w.session->ocp();
-}
-
-Addr Dispatcher::worker_in_base(const Worker& w) {
-  return w.chain ? w.chain->layout().in_base : w.session->layout().in_base;
-}
-
-Addr Dispatcher::worker_out_base(const Worker& w) {
-  return w.chain ? w.chain->layout().out_base : w.session->layout().out_base;
-}
-
-void Dispatcher::recover_worker(Worker& w) {
-  if (w.chain) {
-    w.chain->recover();
-  } else {
-    w.session->recover();
-  }
 }
 
 void Dispatcher::set_tracer(obs::EventTracer* tracer) {
@@ -131,16 +81,10 @@ void Dispatcher::set_tracer(obs::EventTracer* tracer) {
     sched_track_ = tracer_->track("svc.sched");
     jobs_track_ = tracer_->track("svc.jobs");
     for (auto& w : workers_) {
-      w.track = tracer_->track("svc.worker." + worker_ocp(w).name());
+      w.track = tracer_->track("svc.worker." + w.session->tail().ocp().name());
     }
   }
-  for (auto& w : workers_) {
-    if (w.chain) {
-      w.chain->set_tracer(tracer);
-    } else {
-      w.session->set_tracer(tracer);
-    }
-  }
+  for (auto& w : workers_) w.session->set_tracer(tracer);
 }
 
 void Dispatcher::set_job_sampler(const obs::SamplingProfiler* prof) {
@@ -155,7 +99,7 @@ void Dispatcher::set_job_sampler(const obs::SamplingProfiler* prof) {
   sched_track_ = tracer_->track("svc.sched");
   jobs_track_ = tracer_->track("svc.jobs");
   for (auto& w : workers_) {
-    w.track = tracer_->track("svc.worker." + worker_ocp(w).name());
+    w.track = tracer_->track("svc.worker." + w.session->tail().ocp().name());
   }
 }
 
@@ -219,22 +163,21 @@ bool Dispatcher::servable(JobKind kind) const {
   return slots_ != nullptr && slots_->serves(kind);
 }
 
+bool Dispatcher::finished() const {
+  return next_arrival_ >= schedule_.size() && queue_.empty() &&
+         in_flight_ == 0 && retry_queue_.empty() &&
+         (slots_ == nullptr || !slots_->swap_in_flight());
+}
+
 void Dispatcher::configure_irqs() {
   u32 mask = 0;
   for (auto& w : workers_) {
-    mask |= 1u << w.irq_source;
-    if (w.chain) {
-      // The tail's completion retires the chain in both modes. The head
-      // interrupts only in store-and-forward mode, where the CPU must
-      // relay the bounce buffer to the tail stage; a linked head runs
-      // IE-off and its latched D is acknowledged at retire time.
-      w.chain->tail().driver().enable_irq(true);
-      if (w.chain->mode() == drv::ChainMode::kStoreForward) {
-        mask |= 1u << w.head_irq_source;
-        w.chain->head().driver().enable_irq(true);
-      }
-    } else {
-      w.session->driver().enable_irq(true);
+    // Last stage first, the order the lines were attached in. Only the
+    // stages whose completion the CPU must see interrupt.
+    for (u32 s = w.session->stage_count(); s-- > 0;) {
+      if (!w.session->stage_interrupts(s)) continue;
+      mask |= 1u << w.irq_sources[s];
+      w.session->stage(s).driver().enable_irq(true);
     }
   }
   gpp_.write32(irq_ctl_base_ + cpu::kIrqCtlMask, mask);
@@ -310,16 +253,9 @@ void Dispatcher::retire_completions() {
     bool served = false;
     for (auto& w : workers_) {
       if (!w.busy) continue;
-      if (w.chain && w.chain->awaiting_tail() &&
-          ((pending >> w.head_irq_source) & 1u)) {
-        // Store-and-forward half-way point: the head filled the bounce
-        // buffer; relay to the tail stage.
-        advance_chain(w);
-        served = true;
-        continue;
-      }
-      if ((pending >> w.irq_source) & 1u) {
-        retire_worker(w);
+      const u32 src = w.irq_sources[w.session->active_stage()];
+      if ((pending >> src) & 1u) {
+        complete_stage(w);
         served = true;
       }
     }
@@ -327,65 +263,42 @@ void Dispatcher::retire_completions() {
   }
 }
 
-void Dispatcher::advance_chain(Worker& w) {
-  auto& drv = w.chain->head().driver();
-  if (policy_.armed()) {
-    const u32 ctrl = drv.read_ctrl();
-    if ((ctrl & core::kCtrlErr) != 0) {
-      handle_worker_fault(w, fault::FaultClass::kErrBit);
-      return;
+void Dispatcher::complete_stage(Worker& w) {
+  drv::OcpDriver& drv = w.session->active().driver();
+  // One timed CTRL read, armed or not; only an armed policy lets ERR
+  // divert into the recovery machinery instead of staying invisible.
+  const u32 ctrl = drv.read_ctrl();
+  if (policy_.armed() && (ctrl & core::kCtrlErr) != 0) {
+    handle_worker_fault(w, fault::FaultClass::kErrBit);
+    return;
+  }
+  if ((ctrl & core::kCtrlDone) == 0) return;  // spurious (level raced ack)
+  if (w.session->awaiting_tail()) {
+    // Store-and-forward half-way point: advance_to_tail acknowledges the
+    // head's D and issues the tail start — both timed, so the baseline
+    // pays its second ISR in full. The tail gets a fresh deadline.
+    w.session->advance_to_tail();
+    if (policy_.watchdog_cycles > 0) wake_at(watchdog_deadline(w));
+    if (tracer_ != nullptr) {
+      tracer_->instant(w.track, "chain_advance",
+                       {obs::arg("kind", kind_name(w.kind)),
+                        obs::arg("jobs", u64{w.batch.size()})});
     }
-    if ((ctrl & core::kCtrlDone) == 0) return;  // spurious
-  } else {
-    if (!drv.done_bit_set()) return;  // spurious
+    return;
   }
-  // advance_to_tail acknowledges the head's D and issues the tail start
-  // — both timed accesses, so the store-and-forward baseline pays its
-  // second ISR in full.
-  w.chain->advance_to_tail();
-  if (tracer_ != nullptr) {
-    tracer_->instant(w.track, "chain_advance",
-                     {obs::arg("kind", kind_name(w.kind)),
-                      obs::arg("jobs", u64{w.batch.size()})});
-  }
+  drv.clear_done();
+  // Also acknowledges a linked head's latched D — part of the same ISR,
+  // so it lands inside the batch's service time.
+  w.session->retire_ack();
+  retire_batch(w);
 }
 
-void Dispatcher::retire_worker(Worker& w) {
-  auto& drv = retire_driver(w);
-  if (policy_.armed()) {
-    // Same single CTRL read as the unarmed path, but ERR diverts into
-    // the recovery machinery instead of staying invisible.
-    const u32 ctrl = drv.read_ctrl();
-    if ((ctrl & core::kCtrlErr) != 0) {
-      handle_worker_fault(w, fault::FaultClass::kErrBit);
-      return;
-    }
-    if ((ctrl & core::kCtrlDone) == 0) return;  // spurious
-    drv.clear_done();
-  } else {
-    if (!drv.done_bit_set()) return;  // spurious (level raced with ack)
-    drv.clear_done();
-  }
-  // Chain workers: also acknowledge the head's latched D (linked mode
-  // ran it IE-off) — part of the same ISR, so it lands inside the
-  // batch's service time.
-  if (w.chain) w.chain->retire_ack();
+void Dispatcher::retire_batch(Worker& w) {
   const Cycle done_at = gpp_.now();
-
   const u32 block = block_words(w.kind);
-  const Addr out_base = worker_out_base(w);
-  std::vector<Job> batch = std::move(w.batch);
-  w.batch.clear();
-  w.busy = false;
-  w.stats.busy_cycles += done_at - w.busy_since;
+  const Addr out_base = w.session->tail().layout().out_base;
+  std::vector<Job> batch = end_batch(w, nullptr);
   w.stats.jobs += batch.size();
-  in_flight_ -= static_cast<u32>(batch.size());
-  charge_retire(gpp_, batch.size());
-  if (batch_traced(batch)) {
-    tracer_->complete(w.track, "batch", w.busy_since, done_at,
-                      {obs::arg("jobs", u64{batch.size()}),
-                       obs::arg("kind", kind_name(w.kind))});
-  }
 
   bool batch_faulted = false;
   u64 mismatches = 0;
@@ -397,8 +310,8 @@ void Dispatcher::retire_worker(Worker& w) {
       if (!policy_.armed()) {
         throw SimError("svc: output mismatch for job " +
                        std::to_string(job.id) + " (" + kind_name(job.kind) +
-                       ") on " + worker_ocp(w).name() + " at cycle " +
-                       std::to_string(done_at));
+                       ") on " + w.session->tail().ocp().name() +
+                       " at cycle " + std::to_string(done_at));
       }
       // Corrupted output (fifo_corrupt): only the mismatching job
       // retries; its batch siblings completed with good data.
@@ -420,7 +333,7 @@ void Dispatcher::retire_worker(Worker& w) {
           jobs_track_, kind_name(job.kind), job.arrival, job.complete,
           {obs::arg("id", job.id), obs::arg("wait", job.queue_wait()),
            obs::arg("service", job.service()),
-           obs::arg("worker", worker_ocp(w).name())});
+           obs::arg("worker", w.session->tail().ocp().name())});
       tracer_->flow_end(jobs_track_, "job", job.id);
     }
     if (completion_hook_) completion_hook_(job);
@@ -438,6 +351,25 @@ void Dispatcher::retire_worker(Worker& w) {
   trace_queue_counters();
 }
 
+std::vector<Job> Dispatcher::end_batch(Worker& w, const char* aborted) {
+  const Cycle end = gpp_.now();
+  std::vector<Job> batch = std::move(w.batch);
+  w.batch.clear();
+  w.busy = false;
+  w.stats.busy_cycles += end - w.busy_since;
+  in_flight_ -= static_cast<u32>(batch.size());
+  charge_retire(gpp_, batch.size());
+  // An aborted batch is always traced, like the fault instants around
+  // it; a retired one only when a sampled job rides it.
+  if (aborted != nullptr ? tracer_ != nullptr : batch_traced(batch)) {
+    std::vector<obs::Arg> args = {obs::arg("jobs", u64{batch.size()}),
+                                  obs::arg("kind", kind_name(w.kind))};
+    if (aborted != nullptr) args.push_back(obs::arg(aborted, u64{1}));
+    tracer_->complete(w.track, "batch", w.busy_since, end, std::move(args));
+  }
+  return batch;
+}
+
 void Dispatcher::dispatch_ready() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = workers_[i];
@@ -451,7 +383,7 @@ void Dispatcher::dispatch_ready() {
 void Dispatcher::launch(std::size_t wi, std::vector<Job> batch) {
   Worker& w = workers_[wi];
   const u32 block = block_words(w.kind);
-  const Addr in_base = worker_in_base(w);
+  const Addr in_base = w.session->head().layout().in_base;
 
   // Stage the inputs contiguously, one block per batch slot, so the
   // batch program's post-increment addressing walks them in order.
@@ -464,21 +396,9 @@ void Dispatcher::launch(std::size_t wi, std::vector<Job> batch) {
   // it when the size repeats (the common steady state), pay the timed
   // word-by-word reinstall when it changes.
   if (w.installed_batch != batch.size()) {
-    if (w.chain) {
-      w.chain->install(static_cast<u32>(batch.size()),
+    w.session->install(static_cast<u32>(batch.size()),
                        /*timed_program=*/true);
-      w.stats.installs += 2;  // one program image per stage
-    } else {
-      core::StreamJob per_block;
-      per_block.in_words = block;
-      per_block.out_words = block;
-      per_block.burst = block;
-      per_block.use_loop = true;
-      const auto prog =
-          core::build_batch_program(per_block, static_cast<u32>(batch.size()));
-      w.session->install(prog, /*timed_program=*/true);
-      ++w.stats.installs;
-    }
+    w.stats.installs += w.session->stage_count();  // one image per stage
     w.installed_batch = static_cast<u32>(batch.size());
   }
 
@@ -489,19 +409,13 @@ void Dispatcher::launch(std::size_t wi, std::vector<Job> batch) {
     job.worker = static_cast<int>(wi);
     if (job_traced(job.id)) tracer_->flow_step(w.track, "job", job.id);
   }
-  if (w.chain) {
-    w.chain->start_async();
-  } else {
-    w.session->start_async();
-  }
+  w.session->start_async();
   w.busy = true;
   w.busy_since = dispatched;
   ++w.stats.launches;
   in_flight_ += static_cast<u32>(batch.size());
   w.batch = std::move(batch);
-  if (policy_.watchdog_cycles > 0) {
-    wake_at(w.busy_since + policy_.watchdog_cycles);
-  }
+  if (policy_.watchdog_cycles > 0) wake_at(watchdog_deadline(w));
   trace_queue_counters();
 }
 
@@ -517,20 +431,8 @@ u32 Dispatcher::preempt_worker(std::size_t i) {
   }
   // Timed quiesce: the same RST pulse + settle polling the fault path
   // uses — the region must be provably idle before the bitstream moves.
-  recover_worker(w);
-  const Cycle now = gpp_.now();
-  w.stats.busy_cycles += now - w.busy_since;
-  if (tracer_ != nullptr) {
-    tracer_->complete(w.track, "batch", w.busy_since, now,
-                      {obs::arg("jobs", u64{w.batch.size()}),
-                       obs::arg("kind", kind_name(w.kind)),
-                       obs::arg("preempted", u64{1})});
-  }
-  std::vector<Job> batch = std::move(w.batch);
-  w.batch.clear();
-  w.busy = false;
-  in_flight_ -= static_cast<u32>(batch.size());
-  charge_retire(gpp_, batch.size());
+  w.session->recover();
+  std::vector<Job> batch = end_batch(w, "preempted");
   // Head of the queue, original order, no attempts bump: the jobs did
   // nothing wrong and must not lose their place.
   for (std::size_t j = batch.size(); j-- > 0;) {
@@ -544,10 +446,10 @@ void Dispatcher::retarget_worker(std::size_t i, JobKind kind) {
   Worker& w = workers_.at(i);
   if (w.busy) {
     throw SimError("Dispatcher: retarget of busy worker " +
-                   worker_ocp(w).name() + " (preempt first)");
+                   w.session->tail().ocp().name() + " (preempt first)");
   }
   if (!w.retargetable) {
-    throw SimError("Dispatcher: worker " + worker_ocp(w).name() +
+    throw SimError("Dispatcher: worker " + w.session->tail().ocp().name() +
                    " is not slot-backed");
   }
   // block_words is kind-invariant, so the resident v2-loop program still
@@ -561,7 +463,7 @@ void Dispatcher::retarget_worker(std::size_t i, JobKind kind) {
 bool Dispatcher::watchdog_due() const {
   if (policy_.watchdog_cycles == 0) return false;
   for (const auto& w : workers_) {
-    if (w.busy && kernel().now() >= w.busy_since + policy_.watchdog_cycles) {
+    if (w.busy && kernel().now() >= watchdog_deadline(w)) {
       return true;
     }
   }
@@ -572,23 +474,17 @@ void Dispatcher::check_watchdogs() {
   if (policy_.watchdog_cycles == 0) return;
   for (auto& w : workers_) {
     if (!w.busy) continue;
-    if (gpp_.now() < w.busy_since + policy_.watchdog_cycles) continue;
-    // One timed CTRL read decides: completion whose interrupt edge was
-    // lost, a latched fault, or a genuine hang. Chain workers poll the
-    // stage currently executing (the head during a store-and-forward
-    // head stage, the tail otherwise).
-    const u32 ctrl = active_driver(w).read_ctrl();
+    if (gpp_.now() < watchdog_deadline(w)) continue;
+    // One timed CTRL read of the active stage decides: completion whose
+    // interrupt edge was lost, a latched fault, or a genuine hang.
+    const u32 ctrl = w.session->active().driver().read_ctrl();
     if ((ctrl & core::kCtrlDone) != 0) {
       ++irq_recoveries_;
       if (tracer_ != nullptr) {
         tracer_->instant(w.track, "irq_recovered",
                          {obs::arg("kind", kind_name(w.kind))});
       }
-      if (w.chain && w.chain->awaiting_tail()) {
-        advance_chain(w);  // re-reads CTRL; D is still set
-      } else {
-        retire_worker(w);  // re-reads CTRL; D is still set
-      }
+      complete_stage(w);  // re-reads CTRL; D is still set
     } else if ((ctrl & core::kCtrlErr) != 0) {
       handle_worker_fault(w, fault::FaultClass::kErrBit);
     } else {
@@ -600,13 +496,10 @@ void Dispatcher::check_watchdogs() {
 void Dispatcher::handle_worker_fault(Worker& w, fault::FaultClass cls) {
   ++faults_;
   ++w.stats.faults;
-  // For chain workers the stage currently executing is the one whose
-  // fault state is diagnostic (a linked chain's head fault surfaces as
-  // the tail's watchdog expiry — recover_worker resets both stages).
-  core::Ocp& ocp = w.chain ? (w.chain->awaiting_tail()
-                                  ? w.chain->head().ocp()
-                                  : w.chain->tail().ocp())
-                           : w.session->ocp();
+  // The active stage's fault state is the diagnostic one (a linked
+  // chain's head fault surfaces as the tail's watchdog expiry —
+  // recover() resets every stage).
+  core::Ocp& ocp = w.session->active().ocp();
   FaultInfo info;
   if (cls == fault::FaultClass::kErrBit) {
     info = ocp.controller().last_fault();
@@ -620,7 +513,7 @@ void Dispatcher::handle_worker_fault(Worker& w, fault::FaultClass cls) {
   if (flight_ != nullptr && cls == fault::FaultClass::kTimeout) {
     // A hang is exactly the moment the ring was kept for: latch it so
     // the owning layer dumps the post-mortem window.
-    flight_->trigger("watchdog:" + worker_ocp(w).name());
+    flight_->trigger("watchdog:" + w.session->tail().ocp().name());
   }
   if (tracer_ != nullptr) {
     tracer_->instant(w.track, "fault",
@@ -631,21 +524,9 @@ void Dispatcher::handle_worker_fault(Worker& w, fault::FaultClass cls) {
 
   // Timed recovery sequence (ERR W1C + RST pulse + settle polls). The
   // resident program survives the soft reset, so installed_batch stays.
-  recover_worker(w);
+  w.session->recover();
   const Cycle now = gpp_.now();
-  w.stats.busy_cycles += now - w.busy_since;  // recovery bills the worker
-  if (tracer_ != nullptr) {
-    tracer_->complete(w.track, "batch", w.busy_since, now,
-                      {obs::arg("jobs", u64{w.batch.size()}),
-                       obs::arg("kind", kind_name(w.kind)),
-                       obs::arg("aborted", u64{1})});
-  }
-  std::vector<Job> batch = std::move(w.batch);
-  w.batch.clear();
-  w.busy = false;
-  in_flight_ -= static_cast<u32>(batch.size());
-  charge_retire(gpp_, batch.size());
-  for (auto& job : batch) fault_job(std::move(job), cls, now);
+  for (auto& job : end_batch(w, "aborted")) fault_job(std::move(job), cls, now);
   penalize_worker(w);
   trace_queue_counters();
 }
@@ -661,7 +542,7 @@ void Dispatcher::penalize_worker(Worker& w) {
                        {obs::arg("consecutive", u64{w.consecutive_faults})});
     }
     if (flight_ != nullptr) {
-      flight_->trigger("quarantine:" + worker_ocp(w).name());
+      flight_->trigger("quarantine:" + w.session->tail().ocp().name());
     }
   }
 }
@@ -768,14 +649,7 @@ void Dispatcher::save_state(snap::StateWriter& w) const {
   w.write_u32("workers", static_cast<u32>(workers_.size()));
   for (const Worker& wk : workers_) {
     w.write_u8("kind", static_cast<u8>(wk.kind));
-    // Chain presence is structural (fixed by ServiceConfig), so the
-    // branch is deterministic per image — like the retargetable
-    // conditional below, chain-less images stay byte-identical.
-    if (wk.chain) {
-      wk.chain->save_state(w);
-    } else {
-      wk.session->driver().save_state(w);
-    }
+    wk.session->save_state(w);
     w.write_u32("installed_batch", wk.installed_batch);
     w.write_bool("busy", wk.busy);
     w.write_u64("busy_since", wk.busy_since);
@@ -838,11 +712,7 @@ void Dispatcher::restore_state(snap::StateReader& r) {
       }
       wk.kind = static_cast<JobKind>(kind);
     }
-    if (wk.chain) {
-      wk.chain->restore_state(r);
-    } else {
-      wk.session->driver().restore_state(r);
-    }
+    wk.session->restore_state(r);
     wk.installed_batch = r.read_u32("installed_batch");
     wk.busy = r.read_bool("busy");
     wk.busy_since = r.read_u64("busy_since");

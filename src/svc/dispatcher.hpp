@@ -18,6 +18,7 @@
 // Kernel::run_until requires.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -26,7 +27,6 @@
 #include "cpu/gpp.hpp"
 #include "cpu/irq_controller.hpp"
 #include "drv/chain.hpp"
-#include "drv/session.hpp"
 #include "fault/report.hpp"
 #include "obs/flight.hpp"
 #include "obs/profile.hpp"
@@ -73,25 +73,7 @@ struct RetryPolicy {
   }
 };
 
-/// What the dispatcher knows about a slot-farm scheduler (implemented by
-/// svc::SlotManager; an interface so the two headers don't cycle). The
-/// dispatcher calls direct() once per service pass — after completions
-/// retire, before ready jobs dispatch — so freed workers can be
-/// retargeted before new work lands on them.
-class SlotDirector {
- public:
-  virtual ~SlotDirector() = default;
-  /// One scheduling pass (host stack; timed quiesce sequences allowed).
-  virtual void direct() = 0;
-  /// True while a bitstream is streaming — finished() waits it out so
-  /// every swap's cycles are fully accounted at end of run.
-  [[nodiscard]] virtual bool swap_in_flight() const = 0;
-  /// True when the farm can ever serve @p kind. Adaptive policies serve
-  /// every candidate (a swap brings it in on demand); a static farm
-  /// serves only what is resident — jobs for anything else are refused
-  /// at submission, like a fixed-function device returning ENOSYS.
-  [[nodiscard]] virtual bool serves(JobKind kind) const = 0;
-};
+class SlotManager;
 
 class Dispatcher : public sim::Component {
  public:
@@ -101,24 +83,16 @@ class Dispatcher : public sim::Component {
              mem::Sram& mem, cpu::IrqController& irq_ctl, Addr irq_ctl_base,
              std::size_t queue_depth);
 
-  /// Register @p ocp as a worker for @p kind jobs. Batches of up to
-  /// @p max_batch same-kind jobs are launched as one v2-loop program.
-  /// Returns the worker index. The OCP's IRQ line is attached to the
-  /// controller here; configure_irqs() later unmasks it.
-  u32 add_worker(core::Ocp& ocp, JobKind kind, drv::SessionLayout layout,
+  /// Register @p session as a worker for @p kind jobs. Batches of up to
+  /// @p max_batch same-kind jobs are staged at the first stage's input
+  /// window, launched as one v2-loop program per stage, and retired on
+  /// the last stage's completion. A plain OCP is a one-stage session; a
+  /// chain (head -> ChainLink -> tail, or the store-and-forward
+  /// ablation) is a two-stage one. Returns the worker index. Every
+  /// stage's IRQ line is attached to the controller here, the last
+  /// stage's first; configure_irqs() later unmasks the ones that fire.
+  u32 add_worker(std::unique_ptr<drv::ChainSession> session, JobKind kind,
                  u32 max_batch);
-
-  /// Register a two-OCP chain (head -> ChainLink -> tail, or the
-  /// store-and-forward ablation) as ONE worker for @p kind jobs: the
-  /// dispatcher stages payloads at the chain's input window, launches
-  /// through drv::ChainSession, and retires on the tail's completion.
-  /// Both OCPs' IRQ lines are attached here (the head's only ever fires
-  /// in store-and-forward mode, where the bounce-buffer hand-off is a
-  /// second CPU-visible completion).
-  u32 add_chain_worker(core::Ocp& head, core::Ocp& tail,
-                       fifo::ChainLink& link, JobKind kind,
-                       drv::ChainLayout layout, u32 max_batch,
-                       drv::ChainMode mode);
 
   /// Hand the open-loop arrival schedule over (must be sorted by
   /// arrival; ConfigError otherwise). The doorbell arms itself.
@@ -176,16 +150,14 @@ class Dispatcher : public sim::Component {
   /// All submitted work accounted for: every scheduled arrival ingested,
   /// queue drained, no batch in flight, no retry backing off, no
   /// bitstream mid-stream.
-  [[nodiscard]] bool finished() const {
-    return next_arrival_ >= schedule_.size() && queue_.empty() &&
-           in_flight_ == 0 && retry_queue_.empty() &&
-           (slots_ == nullptr || !slots_->swap_in_flight());
-  }
+  [[nodiscard]] bool finished() const;
 
   // -- slot farm hooks (svc::SlotManager; docs/reconfiguration.md) ------
-  /// Attach the slot-farm scheduler. service_once() then consults it
-  /// every pass, and finished() waits out in-flight swaps.
-  void set_slot_director(SlotDirector* d) { slots_ = d; }
+  /// Attach the slot-farm scheduler. service_once() calls its direct()
+  /// every pass — after completions retire, before ready jobs dispatch,
+  /// so freed workers can be retargeted first — and finished() waits
+  /// out in-flight swaps.
+  void set_slot_manager(SlotManager* m) { slots_ = m; }
   /// Raised from the ICAP completion callback (inside a tick) so the
   /// host loop wakes and the freed slot gets work immediately.
   void note_slots_due() { slots_due_ = true; }
@@ -274,8 +246,9 @@ class Dispatcher : public sim::Component {
   [[nodiscard]] bool is_quiescent() const override;
   /// Queue contents, schedule position, per-worker in-flight batches and
   /// stats, retry backlog, and the run counters. Worker count/kind must
-  /// match the image (same ServiceConfig); sessions carry only their
-  /// driver's IE shadow. The retry policy and hooks are host wiring.
+  /// match the image (same ServiceConfig); sessions carry their drivers'
+  /// IE/CHAIN shadows, plus the stage machine for two-stage ones. The
+  /// retry policy and hooks are host wiring.
   void save_state(snap::StateWriter& w) const override;
   void restore_state(snap::StateReader& r) override;
 
@@ -287,15 +260,10 @@ class Dispatcher : public sim::Component {
 
  private:
   struct Worker {
-    std::unique_ptr<drv::OcpSession> session;
-    /// Chain-backed worker: set instead of `session` (exactly one of the
-    /// two is non-null). The chain's tail session owns the completion
-    /// the dispatcher retires on.
-    std::unique_ptr<drv::ChainSession> chain;
+    std::unique_ptr<drv::ChainSession> session;
+    std::vector<u32> irq_sources;  ///< IrqController bit, per stage
     JobKind kind = JobKind::kIdct;
     u32 max_batch = 1;
-    u32 irq_source = 0;        ///< bit index at the IrqController
-    u32 head_irq_source = 0;   ///< chain workers: the head OCP's source
     std::vector<Job> batch;    ///< jobs of the in-flight launch
     u32 installed_batch = 0;   ///< batch size the resident program serves
     bool busy = false;
@@ -328,28 +296,28 @@ class Dispatcher : public sim::Component {
   void retire_completions();
   void dispatch_ready();
   void launch(std::size_t wi, std::vector<Job> batch);
-  void retire_worker(Worker& w);
-  /// Store-and-forward chain ISR half: acknowledge the head stage and
-  /// launch the tail over the bounce buffer.
-  void advance_chain(Worker& w);
+  /// The active stage interrupted (or the watchdog found it done): one
+  /// timed CTRL read, then fault, spurious, advance to the next stage,
+  /// or retire the batch.
+  void complete_stage(Worker& w);
+  void retire_batch(Worker& w);
+  /// Close @p w's in-flight batch at now(): bill busy_cycles, free the
+  /// worker, charge the retire bookkeeping and emit the "batch" span
+  /// (annotated `@p aborted = 1` when non-null). Returns the jobs.
+  std::vector<Job> end_batch(Worker& w, const char* aborted);
   void trace_enqueue(u64 id, JobKind kind);
   void trace_queue_counters();
-
-  // -- worker-kind-agnostic accessors (plain OCP vs chain) --------------
-  /// The driver whose D bit retires the worker's batch (chain: the tail).
-  [[nodiscard]] static drv::OcpDriver& retire_driver(Worker& w);
-  /// The driver of the stage currently executing (chain in the
-  /// store-and-forward head stage: the head) — what watchdogs poll.
-  [[nodiscard]] static drv::OcpDriver& active_driver(Worker& w);
-  [[nodiscard]] static core::Ocp& worker_ocp(const Worker& w);
-  [[nodiscard]] static Addr worker_in_base(const Worker& w);
-  [[nodiscard]] static Addr worker_out_base(const Worker& w);
-  static void recover_worker(Worker& w);
 
   // -- fault handling (all early-return when policy_ is unarmed) --------
   [[nodiscard]] bool retry_due() const {
     return !retry_queue_.empty() &&
            retry_queue_.front().ready_at <= kernel().now();
+  }
+  /// Watchdog deadline of @p w's active stage, which started with the
+  /// batch or, for an advanced stage, at the advance.
+  [[nodiscard]] Cycle watchdog_deadline(const Worker& w) const {
+    return std::max(w.busy_since, w.session->stage_since()) +
+           policy_.watchdog_cycles;
   }
   [[nodiscard]] bool watchdog_due() const;
   void check_watchdogs();
@@ -377,7 +345,7 @@ class Dispatcher : public sim::Component {
   u64 retries_ = 0;          ///< retry launches scheduled
   u64 failed_ = 0;           ///< jobs given up on (budget / unservable)
   u64 irq_recoveries_ = 0;   ///< completions found by the watchdog poll
-  SlotDirector* slots_ = nullptr;  ///< slot-farm scheduler (optional)
+  SlotManager* slots_ = nullptr;  ///< slot-farm scheduler (optional)
   bool slots_due_ = false;   ///< a swap completed since the last pass
   std::function<void(const Job&)> completion_hook_;
   std::function<void(const Job&)> failure_hook_;

@@ -106,6 +106,19 @@ void ServiceReport::add_to(exp::Result& result) const {
   }
 }
 
+std::unique_ptr<drv::ChainSession> OffloadService::worker_session(
+    core::Ocp& ocp, Addr base, JobKind kind, u32 max_batch) {
+  const u32 words = max_batch * block_words(kind);
+  return std::make_unique<drv::ChainSession>(
+      soc_.cpu(), soc_.sram(), ocp,
+      drv::SessionLayout{.prog_base = base,
+                         .in_base = base + kWorkerInOff,
+                         .out_base = base + kWorkerOutOff,
+                         .in_words = words,
+                         .out_words = words},
+      block_words(kind));
+}
+
 OffloadService::OffloadService(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
       soc_(cfg_.soc),
@@ -123,14 +136,9 @@ OffloadService::OffloadService(ServiceConfig cfg)
     racs_.push_back(make_rac(soc_.kernel(), spec.kind, name + "_rac"));
     core::Ocp& ocp = soc_.add_ocp(*racs_.back());
     const Addr base = kWorkerBase + static_cast<Addr>(i) * kWorkerStride;
-    const u32 words = spec.max_batch * block_words(spec.kind);
-    dispatcher_.add_worker(ocp, spec.kind,
-                           drv::SessionLayout{.prog_base = base,
-                                              .in_base = base + kWorkerInOff,
-                                              .out_base = base + kWorkerOutOff,
-                                              .in_words = words,
-                                              .out_words = words},
-                           spec.max_batch);
+    dispatcher_.add_worker(
+        worker_session(ocp, base, spec.kind, spec.max_batch), spec.kind,
+        spec.max_batch);
   }
 
   if (cfg_.slots.enabled()) build_slot_farm();
@@ -215,15 +223,9 @@ void OffloadService::build_slot_farm() {
 
     const std::size_t wi = cfg_.ocps.size() + si;
     const Addr base = kWorkerBase + static_cast<Addr>(wi) * kWorkerStride;
-    const u32 words = fc.max_batch * block_words(initial);
-    const u32 worker =
-        dispatcher_.add_worker(ocp, initial,
-                               drv::SessionLayout{.prog_base = base,
-                                                  .in_base = base + kWorkerInOff,
-                                                  .out_base = base + kWorkerOutOff,
-                                                  .in_words = words,
-                                                  .out_words = words},
-                               fc.max_batch);
+    const u32 worker = dispatcher_.add_worker(
+        worker_session(ocp, base, initial, fc.max_batch), initial,
+        fc.max_batch);
 
     // One partial bitstream per (slot, candidate): bitstreams are
     // region-specific, so two slots hosting the same kind carry distinct
@@ -276,16 +278,18 @@ void OffloadService::build_chains() {
 
     const Addr base =
         kWorkerBase + static_cast<Addr>(first + ci) * kWorkerStride;
-    dispatcher_.add_chain_worker(
-        head, tail, *links_.back(), JobKind::kJpegChain,
-        drv::ChainLayout{.head_prog_base = base,
-                         .tail_prog_base = base + kChainTailProgOff,
-                         .in_base = base + kWorkerInOff,
-                         .bounce_base = base + kChainBounceOff,
-                         .out_base = base + kWorkerOutOff,
-                         .block_words = block_words(JobKind::kJpegChain),
-                         .max_batch = spec.max_batch},
-        spec.max_batch, spec.mode);
+    dispatcher_.add_worker(
+        std::make_unique<drv::ChainSession>(
+            soc_.cpu(), soc_.sram(), head, tail, *links_.back(),
+            drv::ChainLayout{.head_prog_base = base,
+                             .tail_prog_base = base + kChainTailProgOff,
+                             .in_base = base + kWorkerInOff,
+                             .bounce_base = base + kChainBounceOff,
+                             .out_base = base + kWorkerOutOff,
+                             .block_words = block_words(JobKind::kJpegChain),
+                             .max_batch = spec.max_batch},
+            spec.mode),
+        JobKind::kJpegChain, spec.max_batch);
   }
 }
 

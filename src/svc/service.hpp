@@ -246,6 +246,10 @@ class OffloadService {
   void install_completion_hook();
   void build_slot_farm();
   void build_chains();
+  /// One-stage session for a plain worker whose windows start at
+  /// @p base, sized for @p max_batch blocks of @p kind.
+  [[nodiscard]] std::unique_ptr<drv::ChainSession> worker_session(
+      core::Ocp& ocp, Addr base, JobKind kind, u32 max_batch);
 
   ServiceConfig cfg_;
   platform::Soc soc_;

@@ -39,7 +39,7 @@ SlotManager::SlotManager(sim::Kernel& kernel, std::string name,
     throw ConfigError("SlotManager: switch_margin must be >= 1.0");
   }
   icap_.set_done_callback([this](u32 token) { on_icap_done(token); });
-  dispatcher_.set_slot_director(this);
+  dispatcher_.set_slot_manager(this);
 }
 
 void SlotManager::add_slot(core::ReconfigSlot& region, u32 worker,

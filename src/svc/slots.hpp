@@ -74,7 +74,7 @@ struct SlotFarmConfig {
   [[nodiscard]] bool enabled() const { return count > 0; }
 };
 
-class SlotManager : public sim::Component, public SlotDirector {
+class SlotManager : public sim::Component {
  public:
   SlotManager(sim::Kernel& kernel, std::string name, Dispatcher& dispatcher,
               dpr::IcapPort& icap, const dpr::BitstreamStore& store,
@@ -94,13 +94,16 @@ class SlotManager : public sim::Component, public SlotDirector {
   /// *served* is then the policy's problem (serves(), below).
   [[nodiscard]] bool candidate(JobKind kind) const;
 
-  // -- SlotDirector -----------------------------------------------------
-  void direct() override;
-  [[nodiscard]] bool swap_in_flight() const override;
+  // -- Dispatcher hooks -------------------------------------------------
+  /// One scheduling pass (host stack; timed quiesce sequences allowed).
+  void direct();
+  /// True while a bitstream is streaming — Dispatcher::finished() waits
+  /// it out so every swap's cycles are fully accounted at end of run.
+  [[nodiscard]] bool swap_in_flight() const;
   /// True when some slot (resident or after a swap) can serve @p kind.
   /// Under kStatic only resident kinds count — the farm never swaps, and
   /// the Dispatcher refuses jobs for unprovisioned kinds at submission.
-  [[nodiscard]] bool serves(JobKind kind) const override;
+  [[nodiscard]] bool serves(JobKind kind) const;
 
   // -- introspection (report, tests) ------------------------------------
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }

@@ -313,6 +313,32 @@ TEST(FaultService, WatchdogRescuesEverySuppressedIrq) {
   EXPECT_EQ(rep.irq_recoveries, rep.batches);
 }
 
+TEST(FaultService, StoreForwardChainSurvivesDroppedHeadIrq) {
+  // Chains-only service: IRQ source 0 is the chain's tail, source 1 its
+  // head. Every head completion edge is lost, so the watchdog must find
+  // the head stage done, relay it to the tail, and then give the tail
+  // stage a full deadline of its own — not the remainder of the batch's.
+  svc::ServiceConfig cfg;
+  cfg.ocps.clear();
+  cfg.chains = {svc::ChainSpec{.mode = drv::ChainMode::kStoreForward}};
+  cfg.faults.add({.kind = FaultKind::kIrqDrop, .ocp = 1, .prob = 1.0});
+  cfg.retry = svc::RetryPolicy{.max_attempts = 2,
+                               .backoff_base = 2048,
+                               .watchdog_cycles = 16'384};
+  svc::OffloadService service(std::move(cfg));
+  svc::WorkloadConfig wl;
+  wl.jobs = 8;
+  wl.mean_gap = 2000.0;
+  wl.kinds = {svc::JobKind::kJpegChain};
+  wl.seed = svc::kDefaultServiceSeed;
+  const auto rep = service.run(wl);
+
+  EXPECT_EQ(rep.completed, 8u);
+  EXPECT_EQ(rep.failed, 0u);
+  EXPECT_EQ(rep.faults, 0u);
+  EXPECT_EQ(rep.irq_recoveries, rep.batches);  // one per head stage
+}
+
 // -------------------------------------------------------------- emulator --
 
 TEST(EmulatorFault, CarriesStructuredFaultInfo) {

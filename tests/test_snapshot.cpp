@@ -481,6 +481,54 @@ TEST(MidRun, MidSwapRestoredFarmRunIsBitIdentical) {
   EXPECT_EQ(b.soc().kernel().stats().all(), stats_a);
 }
 
+TEST(MidRun, AdvancedChainStageKeepsItsDeadline) {
+  // Store-and-forward chain whose every head IRQ is lost (IRQ source 1
+  // is the head): the watchdog relays each head stage to the tail, and
+  // the tail's deadline counts from that advance. Snapshot while such a
+  // tail stage is in flight — the restored stack must keep the tail's
+  // own deadline, not fall back to the batch start and poll early.
+  const auto chain_config = [] {
+    svc::ServiceConfig cfg;
+    cfg.ocps.clear();
+    cfg.chains = {svc::ChainSpec{.mode = drv::ChainMode::kStoreForward}};
+    cfg.faults.add(
+        {.kind = fault::FaultKind::kIrqDrop, .ocp = 1, .prob = 1.0});
+    cfg.retry = svc::RetryPolicy{.max_attempts = 2,
+                                 .backoff_base = 2048,
+                                 .watchdog_cycles = 16'384};
+    return cfg;
+  };
+  svc::WorkloadConfig wl;
+  wl.jobs = 8;
+  wl.mean_gap = 2000.0;
+  wl.kinds = {svc::JobKind::kJpegChain};
+  wl.seed = svc::kDefaultServiceSeed;
+
+  svc::OffloadService a(chain_config());
+  a.begin(wl);
+  while (!a.finished() && a.dispatcher().irq_recoveries() == 0) {
+    (void)a.step();
+  }
+  ASSERT_EQ(a.dispatcher().irq_recoveries(), 1u);
+  ASSERT_TRUE(a.dispatcher().worker_busy(0)) << "tail stage not in flight";
+  const std::vector<u8> image = a.snapshot().serialize();
+  while (!a.step()) {
+  }
+  const svc::ServiceReport rep_a = a.finish();
+  const Cycle end_a = a.soc().kernel().now();
+
+  svc::OffloadService b(chain_config());
+  b.restore(Snapshot::deserialize(image));
+  while (!b.step()) {
+  }
+  const svc::ServiceReport rep_b = b.finish();
+
+  expect_reports_identical(rep_a, rep_b);
+  EXPECT_EQ(rep_a.completed, 8u);
+  EXPECT_EQ(rep_a.irq_recoveries, rep_b.irq_recoveries);
+  EXPECT_EQ(b.soc().kernel().now(), end_a);
+}
+
 TEST(MidRun, RestoreIntoDifferentlyShapedServiceThrows) {
   svc::OffloadService a(serve_config(false));
   a.begin(serve_workload());
