@@ -21,10 +21,16 @@
 // input load are identical host-side costs in both modes and would only
 // dilute the ratio. Host-clock metrics make the scenario
 // non-deterministic; run-to-run payload comparisons skip it.
-// run_tier1.sh's speed-guard stage compares opt_cps against the
-// committed BENCH_speed.json baseline.
+//
+// Next to the timings it reports how often each fast path engaged in
+// both configurations: batched bus chunks and decode-cache hits/misses.
+// Those counts are deterministic, so run_tier1.sh's golden stage pins
+// them to the committed BENCH_speed.json on any host — a fast path that
+// stops engaging fails the gate even when the machine is noisy. The
+// scenario fails itself if the "off" configuration engages either one.
 #include "scenarios.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -52,14 +58,23 @@ void strip_optimizations(platform::Soc& soc) {
   }
 }
 
+/// One timed repetition: simulated cycles, host seconds, and how often
+/// each fast path engaged — deterministic counts, unlike the seconds.
+struct Run {
+  u64 cycles = 0;
+  double seconds = 0;
+  u64 batched_chunks = 0;  ///< bus grant chunks moved by a batched window
+  u64 decode_hits = 0;     ///< decode-cache hits, summed over the OCPs
+  u64 decode_misses = 0;
+};
+
 struct SpeedSample {
-  u64 sim_cycles = 0;   ///< simulated cycles of ONE workload repetition
+  Run run;              ///< the last repetition (counts are the same in all)
   double best_cps = 0;  ///< best cycles/sec over the repetitions
 };
 
-/// Repeat @p one_run (which returns {sim cycles, host seconds} for its
-/// timed region) until @p budget_s of measured host time is spent, at
-/// least twice, keeping the fastest repetition. Best-of is the right
+/// Repeat @p one_run until @p budget_s of measured host time is spent,
+/// at least twice, keeping the fastest repetition. Best-of is the right
 /// statistic on a shared host: load spikes only ever slow a run down.
 template <typename F>
 SpeedSample measure(F&& one_run, double budget_s = 0.2) {
@@ -67,28 +82,35 @@ SpeedSample measure(F&& one_run, double budget_s = 0.2) {
   double spent = 0;
   int reps = 0;
   while (spent < budget_s || reps < 2) {
-    const auto [cycles, dt] = one_run();
-    spent += dt;
+    s.run = one_run();
+    spent += s.run.seconds;
     ++reps;
-    s.sim_cycles = cycles;
-    if (dt > 0) {
-      const double cps = static_cast<double>(cycles) / dt;
-      if (cps > s.best_cps) s.best_cps = cps;
+    if (s.run.seconds > 0) {
+      s.best_cps = std::max(
+          s.best_cps, static_cast<double>(s.run.cycles) / s.run.seconds);
     }
   }
   return s;
 }
 
-/// Time @p body; returns {simulated cycles elapsed, host seconds}.
+/// Time @p body on @p soc; the engagement counts are read afterwards.
 template <typename F>
-std::pair<u64, double> timed(sim::Kernel& k, F&& body) {
+Run timed(platform::Soc& soc, F&& body) {
+  sim::Kernel& k = soc.kernel();
   const Cycle c0 = k.now();
   const auto t0 = std::chrono::steady_clock::now();
   body();
-  const double dt =
+  Run r;
+  r.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  return {k.now() - c0, dt};
+  r.cycles = k.now() - c0;
+  r.batched_chunks = soc.bus().batched_chunks();
+  for (std::size_t i = 0; i < soc.ocp_count(); ++i) {
+    r.decode_hits += soc.ocp(i).controller().decode_cache_hits();
+    r.decode_misses += soc.ocp(i).controller().decode_cache_misses();
+  }
+  return r;
 }
 
 std::vector<u32> signal_words(u32 n, u32 seed) {
@@ -100,7 +122,7 @@ std::vector<u32> signal_words(u32 n, u32 seed) {
   return in;
 }
 
-std::pair<u64, double> run_idct_invoke(bool optimized) {
+Run run_idct_invoke(bool optimized) {
   platform::Soc soc;
   rac::IdctRac idct(soc.kernel(), "idct");
   core::Ocp& ocp = soc.add_ocp(idct);
@@ -117,12 +139,12 @@ std::pair<u64, double> run_idct_invoke(bool optimized) {
   session.put_input(signal_words(64, 7));
   // mvtc re-reads the same SRAM block each frame; nothing consumes it,
   // so the input is loaded once and the loop is pure invocation.
-  return timed(soc.kernel(), [&] {
+  return timed(soc, [&] {
     for (int frame = 0; frame < 256; ++frame) session.run_poll();
   });
 }
 
-std::pair<u64, double> run_burst_xfer(bool optimized) {
+Run run_burst_xfer(bool optimized) {
   constexpr u32 kWords = 4096;
   constexpr Addr kSrc = 0x4010'0000;
   constexpr Addr kDst = 0x4020'0000;
@@ -138,7 +160,7 @@ std::pair<u64, double> run_burst_xfer(bool optimized) {
   // Interrupt mode: the CPU sleeps on the IRQ line and the engine sleeps
   // while its port is busy, so each 256-beat window fast-forwards in one
   // jump when batching is on.
-  return timed(soc.kernel(), [&] {
+  return timed(soc, [&] {
     for (int pass = 0; pass < 16; ++pass) {
       gpp.write32(dma.reg_base() + baseline::kDmaSrc, kSrc);
       gpp.write32(dma.reg_base() + baseline::kDmaDst, kDst);
@@ -153,7 +175,7 @@ std::pair<u64, double> run_burst_xfer(bool optimized) {
   });
 }
 
-std::pair<u64, double> run_serve_multi(bool optimized) {
+Run run_serve_multi(bool optimized) {
   svc::ServiceConfig cfg;
   for (int i = 0; i < 4; ++i) {
     cfg.ocps.push_back(
@@ -166,12 +188,12 @@ std::pair<u64, double> run_serve_multi(bool optimized) {
   wl.jobs = 160;
   wl.mean_gap = 40.0;
   wl.seed = svc::kDefaultServiceSeed;
-  return timed(service.soc().kernel(), [&] { service.run(wl); });
+  return timed(service.soc(), [&] { service.run(wl); });
 }
 
 void run_point(const exp::ParamMap& params, exp::Result& result) {
   const std::string& workload = params.get_str("workload");
-  std::pair<u64, double> (*one)(bool) = nullptr;
+  Run (*one)(bool) = nullptr;
   if (workload == "idct_invoke") {
     one = run_idct_invoke;
   } else if (workload == "burst_xfer") {
@@ -181,12 +203,21 @@ void run_point(const exp::ParamMap& params, exp::Result& result) {
   }
   const SpeedSample opt = measure([&] { return one(true); });
   const SpeedSample base = measure([&] { return one(false); });
-  if (opt.sim_cycles != base.sim_cycles) {
+  if (opt.run.cycles != base.run.cycles) {
     result.fail("optimizations changed the simulated clock: " +
-                std::to_string(opt.sim_cycles) + " vs " +
-                std::to_string(base.sim_cycles) + " cycles");
+                std::to_string(opt.run.cycles) + " vs " +
+                std::to_string(base.run.cycles) + " cycles");
   }
-  result.add_metric("sim_cycles", opt.sim_cycles);
+  if (base.run.batched_chunks != 0 || base.run.decode_hits != 0) {
+    result.fail("a fast path engaged with the optimizations off");
+  }
+  result.add_metric("sim_cycles", opt.run.cycles);
+  for (const auto& [prefix, s] : {std::pair{"opt", &opt}, {"base", &base}}) {
+    const std::string p = prefix;
+    result.add_metric(p + "_batched_chunks", s->run.batched_chunks);
+    result.add_metric(p + "_decode_hits", s->run.decode_hits);
+    result.add_metric(p + "_decode_misses", s->run.decode_misses);
+  }
   result.add_metric("opt_cps", opt.best_cps);
   result.add_metric("base_cps", base.best_cps);
   result.add_metric("speedup", opt.best_cps / base.best_cps);

@@ -39,9 +39,7 @@
 //
 // Exit status is non-zero when any scenario run fails an invariant or the
 // --compare-jobs identity check trips.
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <string>
@@ -51,6 +49,7 @@
 #include "exp/param.hpp"
 #include "exp/sweep.hpp"
 #include "scenarios.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -86,20 +85,11 @@ void usage(const char* argv0, std::FILE* to) {
                argv0);
 }
 
-bool parse_int(const char* s, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 1 || v > 1024) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_u64(const char* s, ouessant::u64* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 0);
-  if (end == s || *end != '\0' || errno != 0) return false;
-  *out = static_cast<ouessant::u64>(v);
+/// A worker count in [1, 1024].
+bool parse_jobs(const char* s, int* out) {
+  const std::optional<u64> v = util::parse_u64(s);
+  if (!v || *v < 1 || *v > 1024) return false;
+  *out = static_cast<int>(*v);
   return true;
 }
 
@@ -123,19 +113,19 @@ bool parse_args(int argc, char** argv, Options* opt) {
       opt->filter = v;
     } else if (arg == "--jobs") {
       const char* v = next();
-      if (v == nullptr || !parse_int(v, &opt->jobs)) return false;
+      if (v == nullptr || !parse_jobs(v, &opt->jobs)) return false;
     } else if (arg == "--compare-jobs") {
       const char* v = next();
-      if (v == nullptr || !parse_int(v, &opt->compare_jobs)) return false;
+      if (v == nullptr || !parse_jobs(v, &opt->compare_jobs)) return false;
     } else if (arg == "--json") {
       const char* v = next();
       if (v == nullptr) return false;
       opt->json_path = v;
     } else if (arg == "--seed") {
       const char* v = next();
-      ouessant::u64 seed = 0;
-      if (v == nullptr || !parse_u64(v, &seed)) return false;
-      opt->seed = seed;
+      if (v == nullptr) return false;
+      opt->seed = util::parse_u64(v);
+      if (!opt->seed) return false;
     } else if (arg == "--trace") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -267,10 +257,10 @@ int main(int argc, char** argv) {
   const unsigned host_cpus = std::thread::hardware_concurrency();
   std::vector<std::string> meta;
   meta.push_back("\"host_cpus\": " + std::to_string(host_cpus));
-  // All free-form strings go through exp::json_escape — a filter (or any
+  // All free-form strings go through util::json_quote — a filter (or any
   // future meta value) containing a quote or backslash must not corrupt
   // the document.
-  meta.push_back("\"filter\": \"" + exp::json_escape(opt.filter) + "\"");
+  meta.push_back("\"filter\": " + util::json_quote(opt.filter));
   if (opt.seed) {
     meta.push_back("\"seed\": " + std::to_string(*opt.seed));
   }

@@ -12,13 +12,15 @@
 // Usage: svc_soak [--jobs N] [--total J]
 //   --jobs N    worker threads / service shards (default 4)
 //   --total J   jobs summed across all shards (default 10000)
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "svc/service.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -63,22 +65,20 @@ void run_shard(unsigned shard, ouessant::u32 jobs, ShardResult& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned shards = 4;
+  ouessant::u64 shards = 4;
   ouessant::u64 total = 10'000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      shards = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--total" && i + 1 < argc) {
-      total = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::cerr << "usage: svc_soak [--jobs N] [--total J]\n";
+    std::optional<ouessant::u64> v;
+    if ((arg == "--jobs" || arg == "--total") && i + 1 < argc) {
+      v = ouessant::util::parse_u64(argv[++i]);
+    }
+    // Each shard runs on its own thread and takes a u32 job count.
+    if (!v || *v == 0 || *v > UINT32_MAX) {
+      std::cerr << "usage: svc_soak [--jobs N] [--total J] (N, J >= 1)\n";
       return 2;
     }
-  }
-  if (shards == 0 || total == 0) {
-    std::cerr << "svc_soak: --jobs and --total must be >= 1\n";
-    return 2;
+    (arg == "--jobs" ? shards : total) = *v;
   }
 
   std::vector<ShardResult> results(shards);

@@ -9,9 +9,8 @@
 //   ouasm rtl <core>       emit the VHDL shell + OCP wrapper for a preset
 //                          core (idct | dft256 | fir16 | cfir | pass48)
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "ouessant/assembler.hpp"
@@ -22,27 +21,25 @@
 #include "rac/fir.hpp"
 #include "rac/idct.hpp"
 #include "rac/passthrough.hpp"
+#include "util/text.hpp"
 
 using namespace ouessant;
 
 namespace {
 
-std::string read_file(const char* path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw SimError(std::string("cannot open ") + path);
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
+/// One hex word per token, with or without a 0x prefix.
 std::vector<u32> parse_hex_words(const std::string& text) {
   std::vector<u32> words;
   std::istringstream in(text);
   std::string tok;
   while (in >> tok) {
-    words.push_back(static_cast<u32>(std::stoul(tok, nullptr, 16)));
+    const bool prefixed = tok.size() > 2 && tok[0] == '0' &&
+                          (tok[1] == 'x' || tok[1] == 'X');
+    const std::optional<u64> v = util::parse_u64(prefixed ? tok : "0x" + tok);
+    if (!v || *v > UINT32_MAX) {
+      throw SimError("not a 32-bit hex word: '" + tok + "'");
+    }
+    words.push_back(static_cast<u32>(*v));
   }
   return words;
 }
@@ -98,19 +95,18 @@ int main(int argc, char** argv) {
     }
     if (argc < 3) return usage();
     if (cmd == "rtl") return emit_rtl(argv[2]);
+    auto input = [&] { return util::read_file(argv[2], "ouasm"); };
     if (cmd == "asm") {
-      const core::Program p = core::assemble(read_file(argv[2]));
+      const core::Program p = core::assemble(input());
       for (const u32 w : p.image()) std::printf("%08x\n", w);
       return 0;
     }
     if (cmd == "dis") {
-      std::printf("%s",
-                  core::disassemble(parse_hex_words(read_file(argv[2])))
-                      .c_str());
+      std::printf("%s", core::disassemble(parse_hex_words(input())).c_str());
       return 0;
     }
     if (cmd == "check") {
-      const core::Program p = core::assemble(read_file(argv[2]));
+      const core::Program p = core::assemble(input());
       const auto result = core::verify(p);
       if (result.ok) {
         std::printf("OK: %zu instructions, all static checks pass\n",

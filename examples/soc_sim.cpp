@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "drv/linux_env.hpp"
@@ -27,6 +28,7 @@
 #include "rac/passthrough.hpp"
 #include "util/fixed.hpp"
 #include "util/rng.hpp"
+#include "util/text.hpp"
 
 using namespace ouessant;
 
@@ -69,9 +71,12 @@ int main(int argc, char** argv) {
       if (arg == "--rac") opt.rac = next();
       else if (arg == "--bus") opt.bus = next();
       else if (arg == "--env") opt.env = next();
-      else if (arg == "--burst") opt.burst = static_cast<u32>(std::stoul(next()));
+      else if (arg == "--burst" || arg == "--blocks") {
+        const std::optional<u64> v = util::parse_u64(next());
+        if (!v || *v > UINT32_MAX) return usage();
+        (arg == "--burst" ? opt.burst : opt.blocks) = static_cast<u32>(*v);
+      }
       else if (arg == "--loop") opt.use_loop = true;
-      else if (arg == "--blocks") opt.blocks = static_cast<u32>(std::stoul(next()));
       else if (arg == "--trace") opt.trace = next();
       else if (arg == "--resources") opt.resources = true;
       else if (arg == "--json") opt.json = next();

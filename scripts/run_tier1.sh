@@ -19,27 +19,28 @@
 #      docs/architecture.md, every ouessant_bench flag is documented in
 #      EXPERIMENTS.md, every path the docs reference exists
 #   7. the golden stage: every committed row of BENCH_serve.json,
-#      BENCH_chain.json, BENCH_dpr.json and BENCH_fleet.json must equal
-#      a fresh `ouessant_bench --filter <family>` run metric for metric,
-#      except a named list of host wall-clock keys — a change to a
-#      simulated result re-records its file in the same change
-#   8. the raw-speed guard: the sim_speed scenario (batched bus windows +
-#      decode cache on vs off) must stay within 2x of the committed
-#      BENCH_speed.json cycles/sec baseline
-#   9. the snapshot-determinism stage: the mid-run restore bit-identity
+#      BENCH_chain.json, BENCH_dpr.json, BENCH_fleet.json and
+#      BENCH_speed.json must equal a fresh `ouessant_bench --filter
+#      <family>` run metric for metric, except a named list of host
+#      wall-clock keys — a change to a simulated result re-records its
+#      file in the same change. For sim_speed that pins the deterministic
+#      fast-path engagement counts (batched bus chunks, decode-cache
+#      hits/misses, on and off), so a fast path that stops engaging fails
+#      here on any host; its cycles/sec figures are host time and exempt
+#   8. the snapshot-determinism stage: the mid-run restore bit-identity
 #      proofs (E1, serve, fault-armed) re-run on the sanitizer build,
 #      then the bench-level --snapshot/--restore flow round-trips a
 #      serve_mixed image through disk
-#  10. the slot-farm stage: test_dpr on the sanitizer build (exact ICAP
+#   9. the slot-farm stage: test_dpr on the sanitizer build (exact ICAP
 #      cycle accounting, preemptive swaps, cache LRU), then the DPRF
 #      scenarios with a guard that the demand-driven swap scheduler
 #      beats static slot assignment on the shifted demand mix
-#  11. the chain stage: test_chain on the sanitizer build (CHAIN CSR
+#  10. the chain stage: test_chain on the sanitizer build (CHAIN CSR
 #      semantics, ChainLink timing, linked vs store-and-forward
 #      bit-identity, the mid-batch snapshot round trip), then the CHAIN
 #      scenarios with a guard that the p2p linked mode beats the
 #      store-and-forward ablation on cycles and bus beats
-#  12. the fleet-observability stage: a 16-shard fault-armed fleet run
+#  11. the fleet-observability stage: a 16-shard fault-armed fleet run
 #      twice, unarmed vs fully armed (sampling profiler + quantile
 #      sketches + SLO monitors + flight recorders) — every shard must be
 #      bit-identical and the armed run within 1.5x unarmed host time;
@@ -60,7 +61,8 @@ scripts/check_docs.sh build/bench/ouessant_bench
 
 echo "==== tier-1: committed BENCH goldens ===="
 for rec in serve:BENCH_serve.json CHAIN:BENCH_chain.json \
-           DPRF:BENCH_dpr.json FLEET:BENCH_fleet.json; do
+           DPRF:BENCH_dpr.json FLEET:BENCH_fleet.json \
+           sim_speed:BENCH_speed.json; do
   family="${rec%%:*}" file="${rec#*:}"
   ./build/bench/ouessant_bench --filter "${family}" \
     --json "build/bench/golden_${file}" > /dev/null
@@ -68,6 +70,9 @@ for rec in serve:BENCH_serve.json CHAIN:BENCH_chain.json \
 import json, sys
 # Host wall-clock metrics: the only keys allowed to differ run to run.
 HOST_TIME_KEYS = {"cold_boot_ms", "fork_ms_per_shard", "warmboot_speedup"}
+# sim_speed's cycles/sec and their ratio are host time too (only there:
+# other families' "speedup" is a simulated-cycle ratio and stays pinned).
+SIM_SPEED_HOST_KEYS = {"opt_cps", "base_cps", "speedup"}
 def rows(path):
     return {(r["scenario"], json.dumps(r["params"], sort_keys=True)):
             r["metrics"] for r in json.load(open(path))["results"]}
@@ -78,7 +83,9 @@ for key, want in committed.items():
     if got is None:
         bad.append(f"{key}: row missing from the fresh run")
         continue
-    for m in sorted((set(want) | set(got)) - HOST_TIME_KEYS):
+    host = HOST_TIME_KEYS | (SIM_SPEED_HOST_KEYS
+                             if key[0] == "sim_speed" else set())
+    for m in sorted((set(want) | set(got)) - host):
         if want.get(m) != got.get(m):
             bad.append(f"{key} {m}: committed {want.get(m)} fresh {got.get(m)}")
 if bad:
@@ -181,31 +188,6 @@ echo "==== tier-1: kernel throughput guard ===="
   --json build/bench/BENCH_kernel.json
 echo "guard record:"
 cat build/bench/BENCH_kernel.json
-
-echo "==== tier-1: raw simulator speed guard ===="
-# The sim_speed scenario re-proves the batched-bus + decode-cache
-# optimizations are invisible to the simulated clock, then measures host
-# cycles/sec. Compare against the committed baseline: a host can easily
-# be 2x slower than the one that recorded BENCH_speed.json, but a
-# per-workload opt_cps below half the recorded value on top of that
-# means the fast paths stopped engaging — fail loudly.
-./build/bench/ouessant_bench --filter sim_speed \
-  --json build/bench/BENCH_speed.json
-python3 - BENCH_speed.json build/bench/BENCH_speed.json <<'EOF'
-import json, sys
-def cps(path):
-    doc = json.load(open(path))
-    return {r["params"]["workload"]: r["metrics"]["opt_cps"]
-            for r in doc["results"]}
-base, now = cps(sys.argv[1]), cps(sys.argv[2])
-bad = [w for w, v in base.items() if now.get(w, 0.0) < v / 2.0]
-for w in sorted(base):
-    print(f"  {w:12s} baseline {base[w]:12.0f} cps | now "
-          f"{now.get(w, 0.0):12.0f} cps")
-if bad:
-    sys.exit(f"speed guard: opt_cps regressed >2x on {', '.join(bad)}")
-print("speed guard OK")
-EOF
 
 echo "==== tier-1: trace-overhead guard + ouessant_trace round-trip ===="
 cmake --build build -j --target trace_guard ouessant_trace

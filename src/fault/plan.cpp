@@ -1,7 +1,11 @@
 #include "fault/plan.hpp"
 
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+
+#include "util/text.hpp"
 
 namespace ouessant::fault {
 
@@ -27,7 +31,7 @@ void validate(const FaultSpec& spec) {
     throw ConfigError(std::string("FaultPlan: ") + kind_name(spec.kind) +
                       " cannot combine at= and p=");
   }
-  if (spec.prob < 0.0 || spec.prob > 1.0) {
+  if (!(spec.prob >= 0.0 && spec.prob <= 1.0)) {  // NaN fails too
     throw ConfigError("FaultPlan: p= must be in [0, 1]");
   }
   if (spec.bit > 31) {
@@ -52,22 +56,30 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
-u64 parse_u64(const std::string& text, const std::string& what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-  if (text.empty() || end == nullptr || *end != '\0') {
+/// A grammar number (decimal or 0x hex) in [@p lo, @p hi]; anything
+/// else — malformed, negative where unsigned, out of range — is a
+/// ConfigError naming the field, never a silent wrap or saturation.
+i64 parse_int(const std::string& text, const std::string& what, i64 lo,
+              i64 hi) {
+  const std::optional<i64> v = util::parse_i64(text);
+  if (!v || *v < lo || *v > hi) {
     throw ConfigError("FaultPlan: bad " + what + " value '" + text + "'");
   }
-  return v;
+  return *v;
+}
+
+u64 parse_u64(const std::string& text, const std::string& what) {
+  const std::optional<u64> v = util::parse_u64(text);
+  if (!v) {
+    throw ConfigError("FaultPlan: bad " + what + " value '" + text + "'");
+  }
+  return *v;
 }
 
 double parse_prob(const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0') {
-    throw ConfigError("FaultPlan: bad p= value '" + text + "'");
-  }
-  return v;
+  const std::optional<double> v = util::parse_double(text);
+  if (!v) throw ConfigError("FaultPlan: bad p= value '" + text + "'");
+  return *v;
 }
 
 FaultKind parse_kind(const std::string& site) {
@@ -109,15 +121,16 @@ FaultPlan FaultPlan::parse(const std::string& text) {
         const std::string key = field.substr(0, eq);
         const std::string val = field.substr(eq + 1);
         if (key == "ocp") {
-          spec.ocp = static_cast<int>(parse_u64(val, "ocp="));
+          spec.ocp = static_cast<int>(parse_int(val, "ocp=", -1, INT_MAX));
         } else if (key == "at") {
           spec.at = parse_u64(val, "at=");
         } else if (key == "p") {
           spec.prob = parse_prob(val);
         } else if (key == "count") {
-          spec.count = static_cast<u32>(parse_u64(val, "count="));
+          spec.count =
+              static_cast<u32>(parse_int(val, "count=", 0, UINT32_MAX));
         } else if (key == "bit") {
-          spec.bit = static_cast<u32>(parse_u64(val, "bit="));
+          spec.bit = static_cast<u32>(parse_int(val, "bit=", 0, UINT32_MAX));
         } else {
           throw ConfigError("FaultPlan: unknown field '" + key +
                             "' (expected ocp|at|p|count|bit)");

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+
+#include "util/text.hpp"
 
 namespace ouessant::l3 {
 
@@ -84,31 +88,42 @@ u32 size_of(const Line& line) {
 
 u8 parse_reg(const Line& line, const std::string& tok) {
   const std::string t = lower(tok);
-  if (t.size() < 2 || t[0] != 'r' ||
-      t.find_first_not_of("0123456789", 1) != std::string::npos) {
+  const bool decimal =
+      t.size() >= 2 && t[0] == 'r' &&
+      t.find_first_not_of("0123456789", 1) == std::string::npos;
+  const std::optional<u64> n =
+      decimal ? util::parse_u64(t.substr(1)) : std::nullopt;
+  if (!n) {
     throw AsmError(line.number, "expected a register, got '" + tok + "'");
   }
-  const unsigned long n = std::stoul(t.substr(1));
-  if (n >= kNumRegs) throw AsmError(line.number, "no register " + tok);
-  return static_cast<u8>(n);
+  if (*n >= kNumRegs) throw AsmError(line.number, "no register " + tok);
+  return static_cast<u8>(*n);
 }
 
+/// True when @p s is a numeric literal rather than a label.
 bool is_number(const std::string& s) {
-  std::string t = s;
-  if (!t.empty() && (t[0] == '-' || t[0] == '+')) t = t.substr(1);
-  if (t.empty()) return false;
-  if (t.size() > 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X')) {
-    return t.find_first_not_of("0123456789abcdefABCDEF", 2) ==
-           std::string::npos;
-  }
-  return t.find_first_not_of("0123456789") == std::string::npos;
+  const std::size_t i = (s[0] == '-' || s[0] == '+') ? 1 : 0;
+  return i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]));
 }
 
-i64 parse_number(const Line& line, const std::string& s) {
-  if (!is_number(s)) {
-    throw AsmError(line.number, "expected a number, got '" + s + "'");
+/// A decimal or 0x-hex literal with optional sign, in [@p lo, @p hi].
+i64 parse_number(const Line& line, const std::string& s, i64 lo, i64 hi) {
+  const std::optional<i64> v = util::parse_i64(s);
+  if (!v) throw AsmError(line.number, "expected a number, got '" + s + "'");
+  if (*v < lo || *v > hi) {
+    throw AsmError(line.number, "operand '" + s + "' out of range");
   }
-  return std::stoll(s, nullptr, 0);
+  return *v;
+}
+
+/// An immediate field: any i32 (encode() then checks the field width).
+i32 parse_imm(const Line& line, const std::string& s) {
+  return static_cast<i32>(parse_number(line, s, INT32_MIN, INT32_MAX));
+}
+
+/// A full 32-bit word, written signed or unsigned.
+u32 parse_word(const Line& line, const std::string& s) {
+  return static_cast<u32>(parse_number(line, s, INT32_MIN, UINT32_MAX));
 }
 
 /// "imm(rN)" memory operand.
@@ -120,7 +135,7 @@ void parse_mem(const Line& line, const std::string& tok, i32& imm, u8& base) {
     throw AsmError(line.number, "expected imm(reg), got '" + tok + "'");
   }
   const std::string off = trim(tok.substr(0, open));
-  imm = off.empty() ? 0 : static_cast<i32>(parse_number(line, off));
+  imm = off.empty() ? 0 : parse_imm(line, off);
   base = parse_reg(line, trim(tok.substr(open + 1, close - open - 1)));
 }
 
@@ -185,7 +200,7 @@ Assembly assemble(const std::string& source, Addr base) {
   };
   auto branch_disp = [&](const Line& line, const std::string& tok,
                          u32 here) -> i32 {
-    if (is_number(tok)) return static_cast<i32>(parse_number(line, tok));
+    if (is_number(tok)) return parse_imm(line, tok);
     return static_cast<i32>(resolve(line, tok)) - static_cast<i32>(here) - 1;
   };
 
@@ -209,7 +224,7 @@ Assembly assemble(const std::string& source, Addr base) {
             {.op = it2->second,
              .rd = parse_reg(line, line.operands[0]),
              .rs1 = parse_reg(line, line.operands[1]),
-             .imm = static_cast<i32>(parse_number(line, line.operands[2]))}));
+             .imm = parse_imm(line, line.operands[2])}));
       } else if (auto it3 = branch_ops().find(m); it3 != branch_ops().end()) {
         expect(line, 3);
         out.words.push_back(encode(
@@ -238,13 +253,13 @@ Assembly assemble(const std::string& source, Addr base) {
         out.words.push_back(encode(
             {.op = Op::kLui,
              .rd = parse_reg(line, line.operands[0]),
-             .imm = static_cast<i32>(parse_number(line, line.operands[1]))}));
+             .imm = parse_imm(line, line.operands[1])}));
       } else if (m == "li") {
         expect(line, 2);
         const u8 rd = parse_reg(line, line.operands[0]);
         u32 value;
         if (is_number(line.operands[1])) {
-          value = static_cast<u32>(parse_number(line, line.operands[1]));
+          value = parse_word(line, line.operands[1]);
         } else {
           value = base + resolve(line, line.operands[1]) * 4;  // label addr
         }
@@ -296,8 +311,7 @@ Assembly assemble(const std::string& source, Addr base) {
         out.words.push_back(encode({.op = Op::kWfi}));
       } else if (m == ".word") {
         expect(line, 1);
-        out.words.push_back(
-            static_cast<u32>(parse_number(line, line.operands[0])));
+        out.words.push_back(parse_word(line, line.operands[0]));
       } else {
         throw AsmError(line.number, "unknown mnemonic '" + m + "'");
       }

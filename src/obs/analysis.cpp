@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <map>
 
+#include "util/text.hpp"
+
 namespace ouessant::obs {
 
 namespace {
@@ -151,6 +153,8 @@ std::string render_report(const ParsedTrace& t, std::size_t top_n) {
 }
 
 std::string render_json(const ParsedTrace& t, std::size_t top_n) {
+  // Every name came from the trace file, so every name is escaped.
+  using util::json_quote;
   std::string out;
   out += "{\n\"schema\": \"ouessant.analysis.v1\",\n";
   out += "\"phases\": [";
@@ -158,8 +162,9 @@ std::string render_json(const ParsedTrace& t, std::size_t top_n) {
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const PhaseStat& st = phases[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"track\": \"" + st.track + "\", \"span\": \"" + st.name +
-           "\", \"count\": " + std::to_string(st.count) +
+    out += "{\"track\": " + json_quote(st.track) +
+           ", \"span\": " + json_quote(st.name) +
+           ", \"count\": " + std::to_string(st.count) +
            ", \"total_cycles\": " + std::to_string(st.total_dur) +
            ", \"max_cycles\": " + std::to_string(st.max_dur) + "}";
   }
@@ -168,9 +173,10 @@ std::string render_json(const ParsedTrace& t, std::size_t top_n) {
   for (std::size_t i = 0; i < jobs.size() && i < top_n; ++i) {
     const JobPath& j = jobs[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"job\": " + std::to_string(j.id) + ", \"kind\": \"" + j.kind +
-           "\", \"worker\": \"" + j.worker +
-           "\", \"arrival\": " + std::to_string(j.arrival) +
+    out += "{\"job\": " + std::to_string(j.id) +
+           ", \"kind\": " + json_quote(j.kind) +
+           ", \"worker\": " + json_quote(j.worker) +
+           ", \"arrival\": " + std::to_string(j.arrival) +
            ", \"wait\": " + std::to_string(j.wait) +
            ", \"service\": " + std::to_string(j.service) +
            ", \"e2e\": " + std::to_string(j.end_to_end) + "}";
@@ -180,9 +186,10 @@ std::string render_json(const ParsedTrace& t, std::size_t top_n) {
   for (std::size_t i = 0; i < pcs.size() && i < top_n; ++i) {
     const PcStat& st = pcs[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"track\": \"" + st.track +
-           "\", \"pc\": " + std::to_string(st.pc) + ", \"op\": \"" +
-           st.mnemonic + "\", \"count\": " + std::to_string(st.count) +
+    out += "{\"track\": " + json_quote(st.track) +
+           ", \"pc\": " + std::to_string(st.pc) + ", \"op\": " +
+           json_quote(st.mnemonic) +
+           ", \"count\": " + std::to_string(st.count) +
            ", \"total_cycles\": " + std::to_string(st.total_dur) + "}";
   }
   out += "\n]\n}\n";

@@ -1,10 +1,9 @@
 #include "obs/sampler.hpp"
 
-#include <cctype>
 #include <fstream>
-#include <sstream>
 
 #include "obs/artifact.hpp"
+#include "util/text.hpp"
 
 namespace ouessant::obs {
 
@@ -69,36 +68,47 @@ void MetricsSampler::sample(Cycle cycle) {
   samples_.push_back(std::move(s));
 }
 
+namespace {
+
+/// `["a", "b"]`, each element escaped.
+void append_strings(std::string& out, const std::vector<std::string>& v) {
+  out += '[';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += util::json_quote(v[i]);
+  }
+  out += ']';
+}
+
+/// The reader's inverse of append_strings.
+std::vector<std::string> string_array(util::JsonCursor& cur) {
+  std::vector<std::string> out;
+  cur.expect('[');
+  if (cur.consume(']')) return out;
+  do {
+    out.push_back(cur.string());
+  } while (cur.consume(','));
+  cur.expect(']');
+  return out;
+}
+
+}  // namespace
+
 std::string MetricsSampler::to_json() const {
   std::string out;
   out.reserve(128 + samples_.size() * 32);
   out += "{\n\"schema\": \"ouessant.metrics.v1\",\n\"period\": ";
   out += std::to_string(period_);
-  out += ",\n\"columns\": [";
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += '"';
-    out += columns_[i];
-    out += '"';
-  }
+  out += ",\n\"columns\": ";
+  append_strings(out, columns_);
   // Units/descriptions registry: parallel to columns, so a consumer can
   // zip the three arrays. Kept as separate arrays (not objects) to
   // preserve the compact row-array sample encoding below.
-  out += "],\n\"units\": [";
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += '"';
-    out += units_[i];
-    out += '"';
-  }
-  out += "],\n\"descriptions\": [";
-  for (std::size_t i = 0; i < descs_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += '"';
-    out += descs_[i];
-    out += '"';
-  }
-  out += "],\n\"samples\": [\n";
+  out += ",\n\"units\": ";
+  append_strings(out, units_);
+  out += ",\n\"descriptions\": ";
+  append_strings(out, descs_);
+  out += ",\n\"samples\": [\n";
   for (std::size_t i = 0; i < samples_.size(); ++i) {
     if (i > 0) out += ",\n";
     out += "[";
@@ -120,93 +130,9 @@ void MetricsSampler::write_json(const std::string& path) const {
 
 // ----------------------------------------------------------------- parser
 
-namespace {
-
-/// Minimal JSON cursor for the metrics.v1 subset (mirrors the
-/// trace-reader and slo.v1 parsers: objects, arrays, strings,
-/// non-negative integers).
-class Cursor {
- public:
-  Cursor(std::string text, std::string context)
-      : text_(std::move(text)), context_(std::move(context)) {}
-
-  void ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  [[nodiscard]] char peek() {
-    ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  [[nodiscard]] bool accept(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-  u64 number() {
-    ws();
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[end]))) {
-      ++end;
-    }
-    if (end == pos_) fail("expected a number");
-    const u64 v = std::stoull(text_.substr(pos_, end - pos_));
-    pos_ = end;
-    return v;
-  }
-  [[noreturn]] void fail(const std::string& why) const {
-    throw SimError(context_ + ": " + why + " at offset " +
-                   std::to_string(pos_));
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::string context_;
-};
-
-std::vector<std::string> string_array(Cursor& cur) {
-  std::vector<std::string> out;
-  cur.expect('[');
-  if (cur.accept(']')) return out;
-  do {
-    out.push_back(cur.string());
-  } while (cur.accept(','));
-  cur.expect(']');
-  return out;
-}
-
-}  // namespace
-
 MetricsSampler::File read_metrics(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw SimError("read_metrics: cannot open " + path);
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  Cursor cur(ss.str(), "read_metrics(" + path + ")");
+  const std::string text = util::read_file(path, "read_metrics");
+  util::JsonCursor cur(text, "read_metrics(" + path + ")");
 
   MetricsSampler::File file;
   bool saw_schema = false;
@@ -221,7 +147,7 @@ MetricsSampler::File read_metrics(const std::string& path) {
       }
       saw_schema = true;
     } else if (key == "period") {
-      file.period = cur.number();
+      file.period = cur.uint();
     } else if (key == "columns") {
       file.columns = string_array(cur);
     } else if (key == "units") {
@@ -230,21 +156,21 @@ MetricsSampler::File read_metrics(const std::string& path) {
       file.descriptions = string_array(cur);
     } else if (key == "samples") {
       cur.expect('[');
-      if (!cur.accept(']')) {
+      if (!cur.consume(']')) {
         do {
           cur.expect('[');
           MetricsSampler::Sample s;
-          s.cycle = cur.number();
-          while (cur.accept(',')) s.values.push_back(cur.number());
+          s.cycle = cur.uint();
+          while (cur.consume(',')) s.values.push_back(cur.uint());
           cur.expect(']');
           file.samples.push_back(std::move(s));
-        } while (cur.accept(','));
+        } while (cur.consume(','));
         cur.expect(']');
       }
     } else {
       cur.fail("unknown field \"" + key + "\"");
     }
-    if (!cur.accept(',')) break;
+    if (!cur.consume(',')) break;
   }
   cur.expect('}');
   if (!saw_schema) {

@@ -1,12 +1,10 @@
 #include "obs/slo.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "obs/artifact.hpp"
+#include "util/text.hpp"
 
 namespace ouessant::obs {
 
@@ -16,16 +14,6 @@ std::string fmt_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.9g", v);
   return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
@@ -144,7 +132,7 @@ std::string SloReport::to_json() const {
   for (std::size_t i = 0; i < classes.size(); ++i) {
     const SloClassReport& c = classes[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"name\": \"" + escape(c.name) + "\", ";
+    out += "{\"name\": " + util::json_quote(c.name) + ", ";
     out += "\"latency_cycles\": " + std::to_string(c.latency_cycles) + ", ";
     out += "\"target\": " + fmt_double(c.target) + ", ";
     out += "\"jobs\": " + std::to_string(c.jobs) + ", ";
@@ -164,83 +152,9 @@ void SloReport::write_json(const std::string& path) const {
 
 // ----------------------------------------------------------------- parser
 
-namespace {
-
-/// Minimal JSON cursor for the slo.v1 subset (mirrors the trace-reader
-/// parser: objects, arrays, strings, non-negative numbers).
-class Cursor {
- public:
-  Cursor(std::string text, std::string context)
-      : text_(std::move(text)), context_(std::move(context)) {}
-
-  void ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  [[nodiscard]] char peek() {
-    ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  [[nodiscard]] bool accept(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-  double number() {
-    ws();
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-            text_[end] == '.' || text_[end] == '-' || text_[end] == '+' ||
-            text_[end] == 'e' || text_[end] == 'E')) {
-      ++end;
-    }
-    if (end == pos_) fail("expected a number");
-    const double v = std::stod(text_.substr(pos_, end - pos_));
-    pos_ = end;
-    return v;
-  }
-  [[noreturn]] void fail(const std::string& why) const {
-    throw SimError(context_ + ": " + why + " at offset " +
-                   std::to_string(pos_));
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::string context_;
-};
-
-}  // namespace
-
 SloReport read_slo_report(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw SimError("read_slo_report: cannot open " + path);
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  Cursor cur(ss.str(), "read_slo_report(" + path + ")");
+  const std::string text = util::read_file(path, "read_slo_report");
+  util::JsonCursor cur(text, "read_slo_report(" + path + ")");
 
   SloReport rep;
   bool saw_schema = false;
@@ -255,16 +169,16 @@ SloReport read_slo_report(const std::string& path) {
       }
       saw_schema = true;
     } else if (key == "long_window") {
-      rep.long_window = static_cast<u64>(cur.number());
+      rep.long_window = cur.uint();
     } else if (key == "short_window") {
-      rep.short_window = static_cast<u64>(cur.number());
+      rep.short_window = cur.uint();
     } else if (key == "burn_threshold") {
-      rep.burn_threshold = cur.number();
+      rep.burn_threshold = cur.real();
     } else if (key == "shards") {
-      rep.shards = static_cast<u64>(cur.number());
+      rep.shards = cur.uint();
     } else if (key == "classes") {
       cur.expect('[');
-      if (!cur.accept(']')) {
+      if (!cur.consume(']')) {
         do {
           cur.expect('{');
           SloClassReport c;
@@ -274,32 +188,32 @@ SloReport read_slo_report(const std::string& path) {
             if (f == "name") {
               c.name = cur.string();
             } else if (f == "latency_cycles") {
-              c.latency_cycles = static_cast<u64>(cur.number());
+              c.latency_cycles = cur.uint();
             } else if (f == "target") {
-              c.target = cur.number();
+              c.target = cur.real();
             } else if (f == "jobs") {
-              c.jobs = static_cast<u64>(cur.number());
+              c.jobs = cur.uint();
             } else if (f == "good") {
-              c.good = static_cast<u64>(cur.number());
+              c.good = cur.uint();
             } else if (f == "alerts") {
-              c.alerts = static_cast<u64>(cur.number());
+              c.alerts = cur.uint();
             } else if (f == "first_alert_cycle") {
-              c.first_alert = static_cast<u64>(cur.number());
+              c.first_alert = cur.uint();
             } else if (f == "worst_burn") {
-              c.worst_burn = cur.number();
+              c.worst_burn = cur.real();
             } else {
               cur.fail("unknown class field \"" + f + "\"");
             }
-          } while (cur.accept(','));
+          } while (cur.consume(','));
           cur.expect('}');
           rep.classes.push_back(std::move(c));
-        } while (cur.accept(','));
+        } while (cur.consume(','));
         cur.expect(']');
       }
     } else {
       cur.fail("unknown field \"" + key + "\"");
     }
-    if (!cur.accept(',')) break;
+    if (!cur.consume(',')) break;
   }
   cur.expect('}');
   if (!saw_schema) {

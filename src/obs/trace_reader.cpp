@@ -1,184 +1,29 @@
 #include "obs/trace_reader.hpp"
 
-#include <fstream>
-#include <sstream>
+#include "util/text.hpp"
 
 namespace ouessant::obs {
 
 namespace {
 
-/// Cursor over the JSON text with the handful of primitives the trace
-/// schema needs. All parse errors throw SimError with a byte offset.
-class Cursor {
- public:
-  explicit Cursor(const std::string& text) : text_(text) {}
+using util::JsonCursor;
 
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        return;
-      }
-    }
-  }
+constexpr u64 kMaxTracks = u64{1} << 20;
 
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    if (peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"':
-        case '\\':
-        case '/':
-          out += e;
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape digit");
-            }
-          }
-          // The tracer only escapes control bytes; anything else is
-          // stored as the low byte (good enough for ASCII traces).
-          out += static_cast<char>(code & 0xFF);
-          break;
-        }
-        default:
-          fail(std::string("unsupported escape \\") + e);
-      }
-    }
-  }
-
-  [[nodiscard]] u64 number() {
-    skip_ws();
-    // Negative numbers never appear in the schema; a leading '-' is
-    // parsed and rejected explicitly for a clear message.
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      fail("negative number in trace");
-    }
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      fail("expected number");
-    }
-    u64 v = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      v = v * 10 + static_cast<u64>(text_[pos_++] - '0');
-    }
-    // Fractional parts are truncated (cycle timestamps are integral).
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    return v;
-  }
-
-  /// Skip any value: object, array, string, number, or literal.
-  void skip_value() {
-    const char c = peek();
-    if (c == '{') {
-      expect('{');
-      if (consume('}')) return;
-      do {
-        (void)string();
-        expect(':');
-        skip_value();
-      } while (consume(','));
-      expect('}');
-    } else if (c == '[') {
-      expect('[');
-      if (consume(']')) return;
-      do {
-        skip_value();
-      } while (consume(','));
-      expect(']');
-    } else if (c == '"') {
-      (void)string();
-    } else if (c == 't' || c == 'f' || c == 'n') {
-      while (pos_ < text_.size() &&
-             ((text_[pos_] >= 'a' && text_[pos_] <= 'z'))) {
-        ++pos_;
-      }
-    } else {
-      (void)number();
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw SimError("trace parse error at byte " + std::to_string(pos_) +
-                   ": " + why);
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-ParsedEvent::Value parse_arg_value(Cursor& cur) {
+ParsedEvent::Value parse_arg_value(JsonCursor& cur) {
   ParsedEvent::Value v;
   if (cur.peek() == '"') {
     v.is_str = true;
     v.s = cur.string();
   } else {
-    v.u = cur.number();
+    v.u = cur.uint();
   }
   return v;
 }
 
 /// Parse one event object; returns false (skipping it) for metadata
 /// records after folding thread_name records into @p track_names.
-bool parse_event(Cursor& cur, ParsedEvent& ev,
+bool parse_event(JsonCursor& cur, ParsedEvent& ev,
                  std::vector<std::string>& track_names) {
   cur.expect('{');
   std::string meta_name;  // args.name of an 'M' record
@@ -192,13 +37,16 @@ bool parse_event(Cursor& cur, ParsedEvent& ev,
         const std::string ph = cur.string();
         ev.ph = ph.empty() ? '?' : ph[0];
       } else if (key == "tid") {
-        ev.tid = static_cast<u32>(cur.number());
+        // Track names live in a tid-indexed vector; bound the index.
+        const u64 tid = cur.uint();
+        if (tid >= kMaxTracks) cur.fail("tid beyond the track limit");
+        ev.tid = static_cast<u32>(tid);
       } else if (key == "ts") {
-        ev.ts = cur.number();
+        ev.ts = cur.uint();
       } else if (key == "dur") {
-        ev.dur = cur.number();
+        ev.dur = cur.uint();
       } else if (key == "id") {
-        ev.id = cur.number();
+        ev.id = cur.uint();
       } else if (key == "args") {
         cur.expect('{');
         if (!cur.consume('}')) {
@@ -238,7 +86,7 @@ std::string ParsedTrace::track_name(u32 tid) const {
 
 ParsedTrace parse_trace(const std::string& json) {
   ParsedTrace trace;
-  Cursor cur(json);
+  JsonCursor cur(json, "parse_trace");
   cur.expect('{');
   bool saw_events = false;
   if (!cur.consume('}')) {
@@ -263,20 +111,12 @@ ParsedTrace parse_trace(const std::string& json) {
     } while (cur.consume(','));
     cur.expect('}');
   }
-  if (!saw_events) {
-    throw SimError("trace parse error: no traceEvents array");
-  }
+  if (!saw_events) cur.fail("no traceEvents array");
   return trace;
 }
 
 ParsedTrace read_trace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw SimError("trace reader: cannot open " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_trace(buf.str());
+  return parse_trace(util::read_file(path, "read_trace"));
 }
 
 }  // namespace ouessant::obs

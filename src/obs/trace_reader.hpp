@@ -1,10 +1,8 @@
 // Reader for ouessant.trace.v1 files (the EventTracer output format).
 //
-// This is not a general JSON parser: it handles exactly the JSON subset
-// the tracer emits (objects, arrays, strings with the tracer's escapes,
-// unsigned integers) which also makes it robust to hand-edited or
-// pretty-printed variants of the same structure. Unknown keys are
-// skipped, so schema-compatible extensions stay readable.
+// Runs on util::JsonCursor (util/text.hpp), so hand-edited or
+// pretty-printed variants of the same structure read the same. Unknown
+// keys are skipped, so schema-compatible extensions stay readable.
 #pragma once
 
 #include <map>

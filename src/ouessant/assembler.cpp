@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
+
+#include "util/text.hpp"
 
 namespace ouessant::core {
 
@@ -80,30 +84,26 @@ std::vector<Line> split_lines(const std::string& source) {
   return out;
 }
 
-bool is_number(const std::string& s) {
-  if (s.empty()) return false;
-  if (s.size() > 2 && (s[0] == '0') && (s[1] == 'x' || s[1] == 'X')) {
-    return s.find_first_not_of("0123456789abcdefABCDEF", 2) == std::string::npos;
+/// A decimal or 0x-hex operand; out of @p T's range is an error, never
+/// a silent truncation.
+template <typename T = u32>
+T parse_number(const Line& line, const std::string& s) {
+  const std::optional<u64> v = util::parse_u64(s);
+  if (!v) throw AsmError(line.number, "expected a number, got '" + s + "'");
+  if (*v > std::numeric_limits<T>::max()) {
+    throw AsmError(line.number, "operand '" + s + "' out of range");
   }
-  return s.find_first_not_of("0123456789") == std::string::npos;
-}
-
-u32 parse_number(const Line& line, const std::string& s) {
-  if (!is_number(s)) {
-    throw AsmError(line.number, "expected a number, got '" + s + "'");
-  }
-  return static_cast<u32>(std::stoul(s, nullptr, 0));
+  return static_cast<T>(*v);
 }
 
 /// Parse "BANK3" / "DMA64" / "FIFO1" style operands, or a bare number.
-u32 parse_prefixed(const Line& line, const std::string& tok,
-                   const char* prefix) {
+template <typename T = u32>
+T parse_prefixed(const Line& line, const std::string& tok,
+                 const std::string& prefix) {
   const std::string low = lower(tok);
-  const std::string pfx = lower(prefix);
-  if (low.rfind(pfx, 0) == 0) {
-    return parse_number(line, low.substr(pfx.size()));
-  }
-  return parse_number(line, tok);
+  return parse_number<T>(line, low.rfind(prefix, 0) == 0
+                                   ? low.substr(prefix.size())
+                                   : tok);
 }
 
 void expect_operands(const Line& line, std::size_t n) {
@@ -142,10 +142,10 @@ Program assemble(const std::string& source) {
         expect_operands(line, 4);
         isa::Instruction ins;
         ins.op = (m == "mvtc") ? isa::Opcode::kMvtc : isa::Opcode::kMvfc;
-        ins.bank = static_cast<u8>(parse_prefixed(line, line.operands[0], "bank"));
+        ins.bank = parse_prefixed<u8>(line, line.operands[0], "bank");
         ins.offset = parse_number(line, line.operands[1]);
         ins.len = parse_prefixed(line, line.operands[2], "dma");
-        ins.fifo = static_cast<u8>(parse_prefixed(line, line.operands[3], "fifo"));
+        ins.fifo = parse_prefixed<u8>(line, line.operands[3], "fifo");
         prog.push(ins);
       } else if (m == "exec") {
         expect_operands(line, 0);
@@ -169,7 +169,7 @@ Program assemble(const std::string& source) {
         expect_operands(line, 2);
         u32 target = 0;
         const std::string tgt = lower(line.operands[0]);
-        if (is_number(tgt)) {
+        if (std::isdigit(static_cast<unsigned char>(tgt[0]))) {
           target = parse_number(line, tgt);
         } else {
           auto it = labels.find(tgt);

@@ -95,6 +95,21 @@ TEST(FaultPlan, RejectsBadSpecs) {
   EXPECT_THROW((void)FaultPlan::parse("bus_err@wat=1"), ConfigError);
 }
 
+TEST(FaultPlan, NumbersAreRangeCheckedNeverWrapped) {
+  EXPECT_EQ(FaultPlan::parse("bus_err@ocp=-1,p=0.5").specs[0].ocp, -1);
+  EXPECT_EQ(FaultPlan::parse("bus_err@ocp=0x10,at=010").specs[0].at, 10u);
+  EXPECT_EQ(FaultPlan::parse("seed=18446744073709551615").seed,
+            18446744073709551615u);
+  for (const char* bad :
+       {"bus_err@ocp=4294967296,p=0.5", "bus_err@ocp=-2,p=0.5",
+        "bus_err@at=5,count=4294967297", "seed=-1",
+        "seed=18446744073709551616", "bus_err@at=99999999999999999999",
+        "bus_err@p=nan", "bus_err@p=inf", "bus_err@p=1e999",
+        "bus_err@p=-0.5", "bus_err@at=5,bit=-1", "bus_err@at=5x"}) {
+    EXPECT_THROW((void)FaultPlan::parse(bad), ConfigError) << bad;
+  }
+}
+
 // ----------------------------------------------------- per-site reports --
 
 TEST(FaultSite, BusErrorLatchesErrAndRecovers) {

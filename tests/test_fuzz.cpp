@@ -2,13 +2,30 @@
 // BOTH the cycle-level SoC (bus + controller + FIFOs + RAC) and the
 // untimed functional emulator, then compared on final memory state and
 // executed-operation counts. Any divergence is a model bug.
+//
+// Text-input fuzzing: seeded mutations of every text format the stack
+// reads (trace, metrics and SLO files, fault specs, Ouessant and L3
+// microcode) must either parse and round-trip or raise a typed error.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <fstream>
+#include <typeinfo>
+
 #include "drv/session.hpp"
+#include "fault/plan.hpp"
+#include "l3/asm.hpp"
+#include "obs/analysis.hpp"
+#include "obs/sampler.hpp"
+#include "obs/slo.hpp"
+#include "obs/tracer.hpp"
+#include "ouessant/assembler.hpp"
+#include "ouessant/codegen.hpp"
 #include "ouessant/emulator.hpp"
 #include "platform/soc.hpp"
 #include "rac/passthrough.hpp"
 #include "util/rng.hpp"
+#include "util/text.hpp"
 
 namespace ouessant {
 namespace {
@@ -218,6 +235,214 @@ TEST(Emulator, LoopAutoIncrementSemantics) {
   ASSERT_TRUE(r.ok) << r.fault.to_string();
   for (u32 i = 0; i < 6; ++i) {
     EXPECT_EQ(mem[0x200 + i * 4], 100 + i) << i;  // contiguous walk
+  }
+}
+
+// ------------------------------------------------------- text inputs --
+
+/// Names that break naive JSON writers: a quote, a backslash, a newline.
+const std::vector<std::string> kAwkwardNames = {"q\"x", "back\\slash",
+                                                "new\nline"};
+
+std::string temp_path(const std::string& leaf) {
+  return ::testing::TempDir() + "ouessant_fuzz_" + leaf;
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
+}
+
+/// True when @p text is exactly one well-formed JSON value.
+bool is_json(const std::string& text) {
+  util::JsonCursor cur(text, "is_json");
+  try {
+    cur.skip_value();
+  } catch (const SimError&) {
+    return false;
+  }
+  try {
+    (void)cur.peek();  // anything but trailing whitespace is an error
+    return false;
+  } catch (const SimError&) {
+    return true;
+  }
+}
+
+std::string seed_trace(const std::string& track, const std::string& span) {
+  sim::Kernel kernel;
+  obs::EventTracer tr(kernel);
+  const obs::TrackId jobs = tr.track("svc.jobs");
+  const obs::TrackId ctrl = tr.track(track);
+  tr.complete(jobs, span, 10, 250,
+              {obs::arg("id", 7), obs::arg("worker", track),
+               obs::arg("wait", 12), obs::arg("service", 228)});
+  tr.complete(ctrl, span, 20, 84, {obs::arg("pc", 3)});
+  tr.instant(ctrl, "irq", {obs::arg(span, span)});
+  tr.counter(jobs, "depth", 3);
+  tr.flow_begin(jobs, "job", 7);
+  tr.flow_end(ctrl, "job", 7);
+  return tr.to_json();
+}
+
+std::string seed_metrics(const std::string& column) {
+  sim::Kernel kernel;
+  obs::MetricsSampler sampler(kernel, 64);
+  sampler.add_gauge(column, [&] { return kernel.now() / 3; }, column, column);
+  sampler.add_stat("bus.beats");
+  kernel.run(256);
+  return sampler.to_json();
+}
+
+obs::SloReport seed_slo(const std::string& cls) {
+  obs::SloMonitor mon({.classes = {{.name = cls, .latency_cycles = 100},
+                                   {.name = "normal", .latency_cycles = 400,
+                                    .target = 0.99}},
+                       .long_window = 1000,
+                       .short_window = 100});
+  for (Cycle c = 1; c <= 40; ++c) {
+    mon.record_latency(static_cast<u32>(c % 2), c * 25, c * 9);
+  }
+  return mon.report();
+}
+
+const char* const kL3Seed =
+    "start: li r1, 0x40001000\n"
+    "       addi r2, r0, 5\n"
+    "loop:  lw r3, 4(r1)\n"
+    "       addi r2, r2, -1\n"
+    "       bne r2, r0, loop\n"
+    "       sw r3, 8(r1)\n"
+    "       call start\n"
+    "       .word 0xdeadbeef\n"
+    "       halt\n";
+
+/// One structure-aware mutation: flip a bit of one byte, truncate, or
+/// extend a digit run past 2^64.
+std::string mutate(util::Rng& rng, std::string s) {
+  switch (rng.below(3)) {
+    case 0:
+      if (!s.empty()) {
+        s[rng.below(static_cast<u32>(s.size()))] ^=
+            static_cast<char>(1u << rng.below(8));
+      }
+      break;
+    case 1:
+      s.resize(rng.below(static_cast<u32>(s.size()) + 1));
+      break;
+    default: {
+      std::vector<std::size_t> runs;
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        const bool digit = std::isdigit(static_cast<unsigned char>(s[i]));
+        const bool prev = i > 0 && std::isdigit(static_cast<unsigned char>(
+                                       s[i - 1]));
+        if (digit && !prev) runs.push_back(i);
+      }
+      if (!runs.empty()) {
+        s.insert(runs[rng.below(static_cast<u32>(runs.size()))],
+                 "98765432109876543210");
+      }
+    }
+  }
+  return s;
+}
+
+/// Run @p parse on @p iters mutants of @p seed. Success and typed errors
+/// (SimError, which AsmError derives from, or ConfigError) pass; any
+/// other exception is a bug and fails with the offending input.
+template <typename F>
+void fuzz_text(const std::string& seed, u64 rng_seed, F&& parse,
+               int iters = 300) {
+  util::Rng rng(rng_seed);
+  parse(seed);  // the unmutated seed must be accepted
+  for (int i = 0; i < iters; ++i) {
+    std::string text = seed;
+    const u32 rounds = 1 + rng.below(3);
+    for (u32 r = 0; r < rounds; ++r) text = mutate(rng, text);
+    try {
+      parse(text);
+    } catch (const SimError&) {
+    } catch (const ConfigError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped " << typeid(e).name() << ": " << e.what()
+                    << "\ninput:\n" << text;
+    }
+  }
+}
+
+TEST(TextFuzz, MutatedInputsParseOrFailTyped) {
+  fuzz_text(seed_trace("ocp.idct0.ctrl", "mvtc"), 1, [](const auto& text) {
+    const obs::ParsedTrace t = obs::parse_trace(text);
+    EXPECT_TRUE(is_json(obs::render_json(t, 5))) << text;
+  });
+
+  const std::string metrics_path = temp_path("metrics.json");
+  fuzz_text(seed_metrics("queue_depth"), 2, [&](const auto& text) {
+    write_text(metrics_path, text);
+    const obs::MetricsSampler::File f = obs::read_metrics(metrics_path);
+    for (const auto& row : f.samples) {
+      EXPECT_EQ(row.values.size(), f.columns.size());
+    }
+  });
+
+  const std::string slo_path = temp_path("slo.json");
+  fuzz_text(seed_slo("high").to_json(), 3, [&](const auto& text) {
+    write_text(slo_path, text);
+    const obs::SloReport rep = obs::read_slo_report(slo_path);
+    rep.write_json(slo_path);
+    EXPECT_EQ(obs::read_slo_report(slo_path).to_json(), rep.to_json());
+  });
+
+  fuzz_text("seed=7;bus_err@ocp=0,p=0.001;rac_hang@at=150000,ocp=1;"
+            "fifo_corrupt@p=0.25,count=2,bit=3;irq_drop@ocp=-1,p=1",
+            4, [](const auto& text) {
+              const fault::FaultPlan plan = fault::FaultPlan::parse(text);
+              EXPECT_EQ(fault::FaultPlan::parse(plan.str()).str(), plan.str())
+                  << text;
+            });
+
+  fuzz_text(core::disassemble(core::figure4_program().image()), 5,
+            [](const auto& text) {
+              const core::Program p = core::assemble(text);
+              EXPECT_EQ(core::assemble(core::disassemble(p.image())).image(),
+                        p.image())
+                  << text;
+            });
+
+  fuzz_text(kL3Seed, 6, [](const auto& text) {
+    // Don't-care bits of a .word need not survive; the listing must.
+    const std::string listing = l3::disassemble(l3::assemble(text).words);
+    EXPECT_EQ(l3::disassemble(l3::assemble(listing).words), listing) << text;
+  });
+}
+
+TEST(TextFuzz, AwkwardNamesSurviveEveryWriterAndReader) {
+  for (const std::string& name : kAwkwardNames) {
+    // tracer -> parse_trace -> render_json -> JSON parse
+    const obs::ParsedTrace t = obs::parse_trace(seed_trace(name, name));
+    EXPECT_EQ(t.track_name(1), name);
+    ASSERT_FALSE(t.events.empty());
+    EXPECT_EQ(t.events.front().name, name);
+    const std::string analysis = obs::render_json(t, 5);
+    EXPECT_TRUE(is_json(analysis)) << analysis;
+    EXPECT_NE(analysis.find(util::json_quote(name)), std::string::npos);
+
+    // sampler -> read_metrics
+    const std::string metrics_path = temp_path("awkward.metrics.json");
+    write_text(metrics_path, seed_metrics(name));
+    const obs::MetricsSampler::File f = obs::read_metrics(metrics_path);
+    ASSERT_EQ(f.columns.size(), 2u);
+    EXPECT_EQ(f.columns[0], name);
+    EXPECT_EQ(f.units[0], name);
+    EXPECT_EQ(f.descriptions[0], name);
+
+    // SLO report -> read_slo_report
+    const std::string slo_path = temp_path("awkward.slo.json");
+    const obs::SloReport rep = seed_slo(name);
+    rep.write_json(slo_path);
+    const obs::SloReport back = obs::read_slo_report(slo_path);
+    ASSERT_EQ(back.classes.size(), 2u);
+    EXPECT_EQ(back.classes[0].name, name);
+    EXPECT_EQ(back.to_json(), rep.to_json());
   }
 }
 

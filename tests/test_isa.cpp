@@ -209,6 +209,40 @@ TEST(Assembler, RejectsBadOperandCounts) {
   EXPECT_THROW(core::assemble("a:\na: nop\neop\n"), core::AsmError);
 }
 
+/// Line number of the AsmError @p source raises; 0 when it raises none.
+/// Any other exception escapes and fails the calling test.
+unsigned asm_error_line(const std::string& source) {
+  try {
+    (void)core::assemble(source);
+  } catch (const core::AsmError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
+TEST(Assembler, OversizedOperandsAreTypedErrors) {
+  // Past 2^64: the scan rejects instead of throwing std::out_of_range.
+  EXPECT_EQ(asm_error_line("nop\nmvtc bank1, 99999999999999999999, dma64, "
+                           "fifo0\neop\n"),
+            2u);
+  // Past 2^32: rejected instead of truncating to offset 1.
+  EXPECT_EQ(asm_error_line("mvtc bank1, 4294967297, dma64, fifo0\neop\n"),
+            1u);
+  // Past a u8 field: rejected instead of wrapping bank 257 to bank 1.
+  EXPECT_EQ(asm_error_line("mvtc bank257, 0, dma64, fifo0\neop\n"), 1u);
+  EXPECT_EQ(asm_error_line("mvtc bank1, 0, dma64, fifo260\neop\n"), 1u);
+  EXPECT_EQ(asm_error_line("nop\nnop\nloop 0, 4294967296\neop\n"), 3u);
+}
+
+TEST(Assembler, NumbersAreDecimalOrHexNeverOctal) {
+  const core::Program p = core::assemble("mvtc bank1, 010, dma0x10, fifo0\n"
+                                         "eop\n");
+  EXPECT_EQ(p.at(0).offset, 10u);
+  EXPECT_EQ(p.at(0).len, 16u);
+  EXPECT_EQ(asm_error_line("mvtc bank1, -1, dma64, fifo0\neop\n"), 1u);
+  EXPECT_EQ(asm_error_line("mvtc bank1, 12abc, dma64, fifo0\neop\n"), 1u);
+}
+
 TEST(Assembler, DisassembleRoundTrip) {
   const core::Program p = core::build_stream_program(
       {.in_words = 256, .out_words = 256, .burst = 64, .overlap = true,

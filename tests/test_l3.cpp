@@ -104,6 +104,33 @@ TEST(L3Asm, Errors) {
   EXPECT_THROW(l3::assemble("x: nop\nx: nop\n"), l3::AsmError);
 }
 
+/// Line number of the l3::AsmError @p source raises; 0 when it raises
+/// none. Any other exception escapes and fails the calling test.
+unsigned l3_asm_error_line(const std::string& source) {
+  try {
+    (void)l3::assemble(source);
+  } catch (const l3::AsmError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
+TEST(L3Asm, OversizedOperandsAreTypedErrors) {
+  EXPECT_EQ(l3_asm_error_line("nop\nli r1, 99999999999999999999\n"), 2u);
+  EXPECT_EQ(l3_asm_error_line("mv r99999999999999999999, r1\n"), 1u);
+  EXPECT_EQ(l3_asm_error_line("nop\nnop\n.word 4294967296\n"), 3u);
+  EXPECT_EQ(l3_asm_error_line("addi r1, r1, 4294967297\n"), 1u);
+  EXPECT_EQ(l3_asm_error_line("lw r1, 4294967300(r2)\n"), 1u);
+}
+
+TEST(L3Asm, WordOperandsTakeSignedOrUnsigned32Bit) {
+  const auto a = l3::assemble(".word -1\n.word 0xFFFFFFFF\n.word 010\n");
+  ASSERT_EQ(a.words.size(), 3u);
+  EXPECT_EQ(a.words[0], 0xFFFF'FFFFu);
+  EXPECT_EQ(a.words[1], 0xFFFF'FFFFu);
+  EXPECT_EQ(a.words[2], 10u);  // a leading zero is decimal, not octal
+}
+
 TEST(L3Asm, DisassembleRenders) {
   const auto a = l3::assemble("add r1, r2, r3\nlw r4, 4(r5)\nhalt\n");
   const std::string d = l3::disassemble(a.words);

@@ -8,6 +8,7 @@
 #include "util/fixed.hpp"
 #include "util/reference.hpp"
 #include "util/rng.hpp"
+#include "util/text.hpp"
 #include "util/transforms.hpp"
 #include "util/types.hpp"
 
@@ -365,6 +366,79 @@ TEST(Transforms, FixedFftSizeChecks) {
   EXPECT_THROW(util::fixed_fft(re, im), ConfigError);
   std::vector<i32> re2(8), im2(4);
   EXPECT_THROW(util::fixed_fft(re2, im2), ConfigError);
+}
+
+// ----------------------------------------------------------------- text --
+
+TEST(Text, IntegerScansAreDecimalOrHexAndNeverWrap) {
+  EXPECT_EQ(util::parse_u64("0"), 0u);
+  EXPECT_EQ(util::parse_u64("010"), 10u);  // no octal
+  EXPECT_EQ(util::parse_u64("0x1F"), 31u);
+  EXPECT_EQ(util::parse_u64("0X1f"), 31u);
+  EXPECT_EQ(util::parse_u64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "0x", "-1", "+1", " 1", "1 ", "1e3", "0x-1",
+                          "18446744073709551616", "0x10000000000000000"}) {
+    EXPECT_FALSE(util::parse_u64(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(util::parse_i64("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(util::parse_i64("+0x10"), 16);
+  EXPECT_EQ(util::parse_i64("-1"), -1);
+  EXPECT_FALSE(util::parse_i64("9223372036854775808").has_value());
+  EXPECT_FALSE(util::parse_i64("--1").has_value());
+}
+
+TEST(Text, RealScanReturnsOnlyFiniteValues) {
+  EXPECT_EQ(util::parse_double("0.25"), 0.25);
+  EXPECT_EQ(util::parse_double("-1e-3"), -1e-3);
+  for (const char* bad : {"", "-", "nan", "inf", "1e999", "0.5x", "+1"}) {
+    EXPECT_FALSE(util::parse_double(bad).has_value()) << bad;
+  }
+}
+
+TEST(Text, EscapeAndCursorRoundTripEveryByte) {
+  std::string all;
+  for (int c = 1; c < 256; ++c) all += static_cast<char>(c);
+  const std::string quoted = util::json_quote(all);
+  util::JsonCursor cur(quoted, "test");
+  EXPECT_EQ(cur.string(), all);
+  EXPECT_EQ(util::json_escape("a\"b\\c\n\t\x01"),
+            "a\\\"b\\\\c\\n\\t\\u0001");
+}
+
+TEST(Text, CursorNumbersAndErrorsAreTyped) {
+  const std::string text =
+      R"({"a": 12.9, "b": [true, null, "x\u00e9"], "c": -2.5e1})";
+  util::JsonCursor cur(text, "ctx");
+  cur.expect('{');
+  EXPECT_EQ(cur.string(), "a");
+  cur.expect(':');
+  EXPECT_EQ(cur.uint(), 12u);  // fraction truncated
+  EXPECT_TRUE(cur.consume(','));
+  EXPECT_EQ(cur.string(), "b");
+  cur.expect(':');
+  cur.skip_value();
+  EXPECT_TRUE(cur.consume(','));
+  (void)cur.string();
+  cur.expect(':');
+  EXPECT_EQ(cur.real(), -25.0);
+  cur.expect('}');
+
+  for (const char* bad : {"99999999999999999999", "-1", "x"}) {
+    util::JsonCursor c(bad, "ctx");
+    EXPECT_THROW((void)c.uint(), SimError) << bad;
+  }
+  for (const char* bad : {"1e999", "-", "--1"}) {
+    util::JsonCursor c(bad, "ctx");
+    EXPECT_THROW((void)c.real(), SimError) << bad;
+  }
+  try {
+    util::JsonCursor c("[1, }", "ctx");
+    c.skip_value();
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "ctx: expected a finite number at byte 4");
+  }
 }
 
 }  // namespace

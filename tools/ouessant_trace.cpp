@@ -18,14 +18,15 @@
 // Trace and flight files also load in Perfetto / chrome://tracing for
 // the visual timeline; this tool is the terminal-side summary.
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "obs/analysis.hpp"
 #include "obs/sampler.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace_reader.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -135,13 +136,12 @@ int main(int argc, char** argv) {
         usage(argv[0]);
         return 2;
       }
-      char* end = nullptr;
-      const long v = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 1) {
+      const std::optional<u64> v = util::parse_u64(argv[++i]);
+      if (!v || *v < 1) {
         usage(argv[0]);
         return 2;
       }
-      top_n = static_cast<std::size_t>(v);
+      top_n = static_cast<std::size_t>(*v);
     } else if (arg == "--json") {
       json = true;
     } else if (!arg.empty() && arg[0] == '-') {
