@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the simulator substrate itself:
-// simulation throughput, FIFO conversion, encoding, assembly, and the
-// transform datapaths. These guard the usability of the library (a slow
-// simulator makes the experiment benches painful), not a paper result.
+// simulation throughput, FIFO storage and conversion, encoding, assembly,
+// and the transform datapaths. These guard the usability of the library
+// (a slow simulator makes the experiment benches painful), not a paper
+// result.
 //
 // The kernel quiescence-gating throughput guard that used to live here is
 // now the "kernel_gating" scenario (bench_kernel_guard.cpp), run through
@@ -9,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "drv/session.hpp"
+#include "fifo/bit_queue.hpp"
 #include "fifo/width_fifo.hpp"
 #include "ouessant/assembler.hpp"
 #include "ouessant/codegen.hpp"
@@ -22,16 +24,62 @@ namespace {
 
 using namespace ouessant;
 
+/// Simulated cycles per host second while an OCP streams: a passthrough
+/// RAC copies 256-word blocks moved in 64-beat bursts, back to back, so
+/// the bus, both FIFOs and the controller are busy on most cycles and the
+/// kernel has little idle time to fast-forward (ff_frac reports how much).
 void BM_KernelTickThroughput(benchmark::State& state) {
+  constexpr u32 kWords = 256;
   platform::Soc soc;
-  rac::PassthroughRac rac(soc.kernel(), "pass", 64, 32);
-  soc.add_ocp(rac);
+  rac::PassthroughRac rac(soc.kernel(), "pass", kWords, 32);
+  core::Ocp& ocp = soc.add_ocp(rac);
+  drv::OcpSession session(soc.cpu(), soc.sram(), ocp,
+                          {.prog_base = 0x4000'0000,
+                           .in_base = 0x4001'0000,
+                           .out_base = 0x4002'0000,
+                           .in_words = kWords,
+                           .out_words = kWords});
+  session.install(core::build_stream_program(
+                      {.in_words = kWords, .out_words = kWords, .burst = 64}),
+                  /*timed_program=*/false);
+  std::vector<u32> in(kWords);
+  util::Rng rng(3);
+  for (auto& w : in) w = rng.next_u32();
+  session.put_input(in);
+  const sim::Kernel& kernel = soc.kernel();
+  const Cycle start = kernel.now();
+  const u64 ff_start = kernel.sched_stats().fast_forward_cycles;
   for (auto _ : state) {
-    soc.kernel().run(1000);
+    benchmark::DoNotOptimize(session.run_poll());
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+  const Cycle cycles = kernel.now() - start;
+  state.SetItemsProcessed(static_cast<i64>(cycles));
+  state.counters["ff_frac"] =
+      static_cast<double>(kernel.sched_stats().fast_forward_cycles -
+                          ff_start) /
+      static_cast<double>(cycles == 0 ? 1 : cycles);
 }
 BENCHMARK(BM_KernelTickThroughput);
+
+/// FIFO storage alone, no kernel: push one @p wr-bit word, then pop every
+/// complete @p rd-bit word. Items are words pushed.
+void bit_queue_stream(benchmark::State& state, unsigned wr, unsigned rd) {
+  fifo::BitQueue q(4096);
+  u64 x = 1;
+  for (auto _ : state) {
+    q.push(x++, wr);
+    while (q.size_bits() >= rd) benchmark::DoNotOptimize(q.pop(rd));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_BitQueue32(benchmark::State& state) { bit_queue_stream(state, 32, 32); }
+BENCHMARK(BM_BitQueue32);
+
+void BM_BitQueueConv(benchmark::State& state) {
+  bit_queue_stream(state, 32, 48);
+}
+BENCHMARK(BM_BitQueueConv);
 
 void BM_FifoWidthConversion(benchmark::State& state) {
   sim::Kernel kernel;

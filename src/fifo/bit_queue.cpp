@@ -1,34 +1,38 @@
 #include "fifo/bit_queue.hpp"
 
+#include <algorithm>
+
 namespace ouessant::fifo {
 
-void BitQueue::push(u64 value, unsigned width) {
-  if (width == 0 || width > 64) {
-    throw SimError("BitQueue::push: width must be 1..64");
+BitQueue::BitQueue(std::size_t capacity_bits)
+    : ring_(std::max<std::size_t>(1, (capacity_bits + 63) / 64), 0),
+      ring_bits_(64 * ring_.size()),
+      capacity_(capacity_bits) {}
+
+void BitQueue::fail(const char* what) { throw SimError(what); }
+
+std::vector<u32> BitQueue::pack_words() const {
+  std::vector<u32> words((size_ + 31) / 32);
+  std::size_t pos = head_;
+  for (std::size_t k = 0; k < words.size(); ++k) {
+    const auto width = static_cast<unsigned>(std::min<std::size_t>(
+        32, size_ - 32 * k));
+    words[k] = static_cast<u32>(load(pos, width));
+    pos = advance(pos, width);
   }
-  for (unsigned i = 0; i < width; ++i) {
-    bits_.push_back(static_cast<u8>((value >> i) & 1u));
-  }
+  return words;
 }
 
-u64 BitQueue::pop(unsigned width) {
-  const u64 v = peek(width);
-  bits_.erase(bits_.begin(), bits_.begin() + width);
-  return v;
-}
-
-u64 BitQueue::peek(unsigned width) const {
-  if (width == 0 || width > 64) {
-    throw SimError("BitQueue::peek: width must be 1..64");
+void BitQueue::unpack_words(const std::vector<u32>& words,
+                            std::size_t bit_count) {
+  if (words.size() < (bit_count + 31) / 32) {
+    fail("BitQueue: word image shorter than its bit count");
   }
-  if (bits_.size() < width) {
-    throw SimError("BitQueue: underflow");
+  clear();
+  for (std::size_t k = 0; 32 * k < bit_count; ++k) {
+    push(words[k],
+         static_cast<unsigned>(std::min<std::size_t>(32, bit_count - 32 * k)));
   }
-  u64 v = 0;
-  for (unsigned i = 0; i < width; ++i) {
-    v |= static_cast<u64>(bits_[i]) << i;
-  }
-  return v;
 }
 
 }  // namespace ouessant::fifo

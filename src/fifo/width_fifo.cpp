@@ -6,23 +6,32 @@
 
 namespace ouessant::fifo {
 
-WidthFifo::WidthFifo(sim::Kernel& kernel, std::string name,
-                     WidthFifoConfig cfg)
-    : sim::Component(kernel, std::move(name)), cfg_(cfg) {
-  if (cfg_.wr_width == 0 || cfg_.wr_width > 64 || cfg_.rd_width == 0 ||
-      cfg_.rd_width > 64) {
-    throw ConfigError("WidthFifo " + this->name() +
+namespace {
+
+/// @p cfg with the default capacity filled in, or ConfigError.
+WidthFifoConfig checked(WidthFifoConfig cfg, const std::string& name) {
+  if (cfg.wr_width == 0 || cfg.wr_width > 64 || cfg.rd_width == 0 ||
+      cfg.rd_width > 64) {
+    throw ConfigError("WidthFifo " + name +
                       ": port widths must be 1..64 bits");
   }
-  if (cfg_.capacity_bits == 0) {
-    cfg_.capacity_bits = 512 * std::max(cfg_.wr_width, cfg_.rd_width);
+  if (cfg.capacity_bits == 0) {
+    cfg.capacity_bits = 512 * std::max(cfg.wr_width, cfg.rd_width);
   }
-  if (cfg_.capacity_bits < cfg_.wr_width ||
-      cfg_.capacity_bits < cfg_.rd_width) {
-    throw ConfigError("WidthFifo " + this->name() +
+  if (cfg.capacity_bits < cfg.wr_width || cfg.capacity_bits < cfg.rd_width) {
+    throw ConfigError("WidthFifo " + name +
                       ": capacity smaller than one chunk");
   }
+  return cfg;
 }
+
+}  // namespace
+
+WidthFifo::WidthFifo(sim::Kernel& kernel, std::string name,
+                     WidthFifoConfig cfg)
+    : sim::Component(kernel, std::move(name)),
+      cfg_(checked(cfg, this->name())),
+      storage_(cfg_.capacity_bits) {}
 
 bool WidthFifo::full() const {
   return level_ + cfg_.wr_width > cfg_.capacity_bits;
@@ -131,7 +140,7 @@ void WidthFifo::flush() {
 void WidthFifo::tick_commit() {
   const bool changed = pending_pop_ || has_pending_write_;
   if (pending_pop_) {
-    storage_.pop(cfg_.rd_width);
+    storage_.drop(cfg_.rd_width);  // read() already returned the value
     ++reads_;
     pending_pop_ = false;
   }
@@ -172,6 +181,12 @@ void WidthFifo::restore_state(snap::StateReader& r) {
   }
   storage_.unpack_words(words, static_cast<std::size_t>(stored_bits));
   level_ = r.read_u32("level");
+  // Every storage change re-registers the level, so the two always agree,
+  // and the high-water mark is never below the level.
+  if (level_ != stored_bits) {
+    throw snap::SnapshotError("WidthFifo " + name() +
+                              ": level differs from stored bits");
+  }
   wrote_this_cycle_ = r.read_bool("wrote_this_cycle");
   read_this_cycle_ = r.read_bool("read_this_cycle");
   pending_write_ = r.read_u64("pending_write");
@@ -180,6 +195,10 @@ void WidthFifo::restore_state(snap::StateReader& r) {
   writes_ = r.read_u64("writes");
   reads_ = r.read_u64("reads");
   max_level_ = r.read_u32("max_level");
+  if (max_level_ < level_) {
+    throw snap::SnapshotError("WidthFifo " + name() +
+                              ": max_level below level");
+  }
 }
 
 res::ResourceNode WidthFifo::resource_tree() const {

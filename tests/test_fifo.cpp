@@ -2,20 +2,57 @@
 // width-adapting FIFO of paper Fig. 2.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <numeric>
 
 #include "fifo/bit_queue.hpp"
 #include "fifo/width_fifo.hpp"
 #include "sim/kernel.hpp"
+#include "snap/state.hpp"
 #include "util/rng.hpp"
 
 namespace ouessant {
 namespace {
 
+/// Per-bit reference model of a LSB-first bit FIFO: one deque entry per
+/// bit, nothing shared with fifo::BitQueue, so the FIFO tests below check
+/// the packed ring against an independent oracle.
+class BitOracle {
+ public:
+  void push(u64 v, unsigned width) {
+    for (unsigned i = 0; i < width; ++i) bits_.push_back((v >> i) & 1);
+  }
+  [[nodiscard]] u64 peek(unsigned width) const {
+    u64 v = 0;
+    for (unsigned i = 0; i < width; ++i) v |= u64{bits_.at(i)} << i;
+    return v;
+  }
+  u64 pop(unsigned width) {
+    const u64 v = peek(width);
+    bits_.erase(bits_.begin(), bits_.begin() + width);
+    return v;
+  }
+  [[nodiscard]] std::size_t size_bits() const { return bits_.size(); }
+  [[nodiscard]] std::vector<u32> pack_words() const {
+    std::vector<u32> words((bits_.size() + 31) / 32, 0);
+    for (std::size_t i = 0; i < bits_.size(); ++i) {
+      words[i / 32] |= u32{bits_[i]} << (i % 32);
+    }
+    return words;
+  }
+
+ private:
+  std::deque<u8> bits_;
+};
+
+u64 random_u64(util::Rng& rng) {
+  return (static_cast<u64>(rng.next_u32()) << 32) | rng.next_u32();
+}
+
 // -------------------------------------------------------------- BitQueue --
 
 TEST(BitQueue, PushPopSameWidth) {
-  fifo::BitQueue q;
+  fifo::BitQueue q(16);
   q.push(0xAB, 8);
   q.push(0xCD, 8);
   EXPECT_EQ(q.size_bits(), 16u);
@@ -25,7 +62,7 @@ TEST(BitQueue, PushPopSameWidth) {
 }
 
 TEST(BitQueue, SerializeLsbFirst) {
-  fifo::BitQueue q;
+  fifo::BitQueue q(48);
   // Push one 48-bit word, pop as 3 x 16: LSB chunk first.
   q.push(0xABCD'1234'5678ull, 48);
   EXPECT_EQ(q.pop(16), 0x5678u);
@@ -34,7 +71,7 @@ TEST(BitQueue, SerializeLsbFirst) {
 }
 
 TEST(BitQueue, DeserializeLsbFirst) {
-  fifo::BitQueue q;
+  fifo::BitQueue q(48);
   q.push(0x5678, 16);
   q.push(0x1234, 16);
   q.push(0xABCD, 16);
@@ -42,7 +79,7 @@ TEST(BitQueue, DeserializeLsbFirst) {
 }
 
 TEST(BitQueue, PeekDoesNotConsume) {
-  fifo::BitQueue q;
+  fifo::BitQueue q(2);
   q.push(0x3, 2);
   EXPECT_EQ(q.peek(2), 0x3u);
   EXPECT_EQ(q.size_bits(), 2u);
@@ -50,16 +87,34 @@ TEST(BitQueue, PeekDoesNotConsume) {
 }
 
 TEST(BitQueue, UnderflowThrows) {
-  fifo::BitQueue q;
+  fifo::BitQueue q(64);
   q.push(1, 4);
   EXPECT_THROW(q.pop(8), SimError);
   EXPECT_THROW((void)q.peek(5), SimError);
+  EXPECT_THROW(q.drop(5), SimError);
+  EXPECT_EQ(q.pop(4), 1u);
+}
+
+TEST(BitQueue, PushPastCapacityThrows) {
+  fifo::BitQueue q(40);
+  q.push(0xABCD, 32);
+  EXPECT_THROW(q.push(0x1FF, 9), SimError);
+  EXPECT_EQ(q.size_bits(), 32u);  // the failed push stored nothing
+  q.push(0xFF, 8);
+  EXPECT_EQ(q.size_bits(), 40u);
+  EXPECT_EQ(q.pop(40), 0xFF'0000'ABCDull);
 }
 
 TEST(BitQueue, WidthLimits) {
-  fifo::BitQueue q;
+  fifo::BitQueue q(128);
   EXPECT_THROW(q.push(0, 0), SimError);
   EXPECT_THROW(q.push(0, 65), SimError);
+  q.push(0, 64);
+  EXPECT_THROW((void)q.peek(0), SimError);
+  EXPECT_THROW((void)q.peek(65), SimError);
+  EXPECT_THROW(q.drop(0), SimError);
+  EXPECT_THROW(q.drop(65), SimError);
+  q.drop(64);
   q.push(~u64{0}, 64);
   EXPECT_EQ(q.pop(64), ~u64{0});
 }
@@ -67,7 +122,7 @@ TEST(BitQueue, WidthLimits) {
 TEST(BitQueue, MixedWidthProperty) {
   // Any sequence of pushes popped bit-by-bit reproduces the bit stream.
   util::Rng rng(77);
-  fifo::BitQueue q;
+  fifo::BitQueue q(200 * 64);
   std::vector<u8> expected_bits;
   for (int i = 0; i < 200; ++i) {
     const unsigned w = 1 + rng.below(64);
@@ -80,6 +135,89 @@ TEST(BitQueue, MixedWidthProperty) {
   for (std::size_t i = 0; i < expected_bits.size(); ++i) {
     ASSERT_EQ(q.pop(1), expected_bits[i]) << "bit " << i;
   }
+}
+
+/// Seeded differential run of BitQueue against the per-bit oracle: mixed
+/// widths 1..64, pops that leave the head at any bit offset, pushes that
+/// fill the ring exactly and then wrap, rejected pushes past capacity, and
+/// snapshot images packed and unpacked from wherever the head happens to be.
+TEST(BitQueue, DifferentialAgainstPerBitOracle) {
+  for (const std::size_t cap : {1u, 63u, 64u, 100u, 192u, 1000u, 4113u}) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    util::Rng rng(cap * 7919);
+    fifo::BitQueue q(cap);
+    BitOracle ref;
+    int exactly_full = 0;
+    int rejected = 0;
+    int unaligned_packs = 0;
+    std::size_t head = 0;  // ring bit of the oldest bit, tracked by hand
+    for (int step = 0; step < 20'000; ++step) {
+      const unsigned w = 1 + rng.below(64);
+      const u32 op = rng.below(16);
+      if (op < 8) {
+        const u64 v = random_u64(rng);
+        if (ref.size_bits() + w > cap) {
+          ASSERT_THROW(q.push(v, w), SimError) << step;
+          ++rejected;
+          // Top up to exactly full so the next pushes wrap a full ring.
+          const std::size_t room = cap - ref.size_bits();
+          if (room > 0 && room <= 64) {
+            q.push(v, static_cast<unsigned>(room));
+            ref.push(v, static_cast<unsigned>(room));
+          }
+        } else {
+          q.push(v, w);
+          ref.push(v, w);
+        }
+        if (ref.size_bits() == cap) ++exactly_full;
+      } else if (op < 14) {
+        if (ref.size_bits() < w) {
+          ASSERT_THROW((void)q.peek(w), SimError) << step;
+          ASSERT_THROW(q.drop(w), SimError) << step;
+          ASSERT_THROW(q.pop(w), SimError) << step;
+        } else if (op % 2 == 0) {
+          ASSERT_EQ(q.pop(w), ref.pop(w)) << step;
+          head += w;
+        } else {
+          ASSERT_EQ(q.peek(w), ref.peek(w)) << step;
+          q.drop(w);
+          ref.pop(w);
+          head += w;
+        }
+      } else {
+        const std::vector<u32> image = q.pack_words();
+        ASSERT_EQ(image, ref.pack_words()) << step;
+        if (head % 64 != 0) ++unaligned_packs;
+        fifo::BitQueue copy(cap);
+        copy.unpack_words(image, q.size_bits());
+        ASSERT_EQ(copy.pack_words(), image) << step;
+        ASSERT_EQ(copy.size_bits(), ref.size_bits());
+        if (op == 15) {  // continue the run from the unpacked image
+          q.unpack_words(image, ref.size_bits());
+          head = 0;
+        }
+      }
+      ASSERT_EQ(q.size_bits(), ref.size_bits()) << step;
+    }
+    EXPECT_GT(exactly_full, 0);
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(unaligned_packs, 0);
+    while (ref.size_bits() > 0) {
+      const unsigned w =
+          static_cast<unsigned>(std::min<std::size_t>(64, ref.size_bits()));
+      ASSERT_EQ(q.pop(w), ref.pop(w));
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+TEST(BitQueue, UnpackRejectsShortImage) {
+  fifo::BitQueue q(128);
+  EXPECT_THROW(q.unpack_words({1, 2}, 65), SimError);
+  EXPECT_THROW(q.unpack_words({1, 2, 3, 4, 5}, 129), SimError);  // > capacity
+  q.unpack_words({0xAAAA'AAAA, 0xFFFF'FFFD}, 35);  // bits past 35 ignored
+  EXPECT_EQ(q.size_bits(), 35u);
+  EXPECT_EQ(q.pop(35), 0x5'AAAA'AAAAull);
 }
 
 // ------------------------------------------------------------- WidthFifo --
@@ -233,7 +371,7 @@ TEST_P(WidthPairs, StreamIntegrity) {
   // Push enough chunks that total bits divide evenly by rd width.
   const u64 lcm_bits = std::lcm<u64>(wr, rd);
   const u32 pushes = static_cast<u32>(lcm_bits / wr) * 5;
-  fifo::BitQueue expected;
+  BitOracle expected;
   for (u32 i = 0; i < pushes; ++i) {
     const u64 v = ((static_cast<u64>(rng.next_u32()) << 32) | rng.next_u32()) &
                   (wr == 64 ? ~u64{0} : ((u64{1} << wr) - 1));
@@ -262,14 +400,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// Randomized stress: a producer and consumer hammer the FIFO with random
-/// interleavings, respecting full/empty; a shadow BitQueue checks every
+/// interleavings, respecting full/empty; a per-bit oracle checks every
 /// popped chunk and the level bookkeeping.
 TEST(WidthFifo, RandomizedStressWithBackpressure) {
   sim::Kernel k;
   fifo::WidthFifo f(k, "f", {.wr_width = 24, .rd_width = 40,
                              .capacity_bits = 480});  // lcm-unfriendly sizes
   util::Rng rng(2024);
-  fifo::BitQueue shadow;
+  BitOracle shadow;
   u64 pushed_bits = 0;
   u64 popped_bits = 0;
 
@@ -290,6 +428,69 @@ TEST(WidthFifo, RandomizedStressWithBackpressure) {
     ASSERT_LE(f.level_bits(), 480u);
   }
   EXPECT_GT(pushed_bits, 100'000u);  // the stress actually stressed
+}
+
+// ---------------------------------------------------- WidthFifo snapshot --
+
+/// The two words every snapshot test below writes into a 4-word FIFO.
+const std::vector<u32> kTwoWords{0x1234'5678, 0x9ABC'DEF0};
+
+/// The state section of a FIFO after those two writes, field by field in
+/// save_state()'s layout, with the level fields chosen by the test.
+std::vector<u8> two_word_section(u32 level, u32 max_level) {
+  snap::StateWriter w;
+  w.write_u64("stored_bits", 64);
+  w.write_words32("storage", kTwoWords);
+  w.write_u32("level", level);
+  w.write_bool("wrote_this_cycle", false);
+  w.write_bool("read_this_cycle", false);
+  w.write_u64("pending_write", kTwoWords[1]);
+  w.write_bool("has_pending_write", false);
+  w.write_bool("pending_pop", false);
+  w.write_u64("writes", 2);
+  w.write_u64("reads", 0);
+  w.write_u32("max_level", max_level);
+  return w.take();
+}
+
+constexpr fifo::WidthFifoConfig kFourWords{
+    .wr_width = 32, .rd_width = 32, .capacity_bits = 4 * 32};
+
+TEST(WidthFifoSnapshot, HandWrittenSectionMatchesSaveState) {
+  sim::Kernel k;
+  fifo::WidthFifo f(k, "f", kFourWords);
+  for (const u32 word : kTwoWords) {
+    f.write(word);
+    k.tick();
+  }
+  snap::StateWriter w;
+  f.save_state(w);
+  EXPECT_EQ(w.bytes(), two_word_section(64, 64));
+
+  fifo::WidthFifo g(k, "g", kFourWords);
+  snap::StateReader r(w.take(), "g");
+  g.restore_state(r);
+  r.expect_end();
+  EXPECT_EQ(g.level_bits(), 64u);
+  EXPECT_EQ(g.read(), kTwoWords[0]);
+}
+
+TEST(WidthFifoSnapshot, RejectsLevelThatDiffersFromStoredBits) {
+  sim::Kernel k;
+  fifo::WidthFifo f(k, "f", kFourWords);
+  // Below the stored bits, above them, and past capacity, where
+  // bulk_writable()'s capacity - level would wrap around.
+  for (const u32 level : {32u, 96u, 5 * 32u}) {
+    snap::StateReader r(two_word_section(level, level), "f");
+    EXPECT_THROW(f.restore_state(r), snap::SnapshotError) << level;
+  }
+}
+
+TEST(WidthFifoSnapshot, RejectsMaxLevelBelowLevel) {
+  sim::Kernel k;
+  fifo::WidthFifo f(k, "f", kFourWords);
+  snap::StateReader r(two_word_section(64, 32), "f");
+  EXPECT_THROW(f.restore_state(r), snap::SnapshotError);
 }
 
 TEST(WidthFifoResources, SmallFifoUsesLuts) {
