@@ -2,10 +2,14 @@
 //
 // fleet_warmboot: boot a template service stack cold, serve a warm-up
 // workload, snapshot it, then fork >= 8 shards from the image
-// (construction + restore + warm begin) and drive them round-robin,
-// each with its own workload seed. The run records the aggregated fleet
-// metrics (total throughput, availability, sketch-derived end-to-end
-// quantiles), the image size, and the wall-time comparison that
+// (construction + restore + warm begin, serially) and drive them in
+// parallel, one shard per fleet::run_fleet worker claim, each with its
+// own workload seed. run_fleet folds the shard reports in the serial
+// round-robin retirement order, by (laps, index), so every simulated
+// metric is the same at any thread count. The run records the
+// aggregated fleet metrics (total throughput, availability,
+// sketch-derived end-to-end quantiles), the image size, and the
+// wall-time comparison that
 // justifies the machinery: cold_boot_ms (template build + warm-up) vs
 // fork_ms_per_shard (what each additional fleet member actually paid).
 // run_fleet's built-in reproducibility check — a second clone at shard
@@ -206,7 +210,7 @@ void register_fleet_warmboot(exp::Registry& r) {
   r.add(exp::ScenarioSpec{
       .name = "fleet_warmboot",
       .experiment = "FLEET",
-      .title = "warm-boot >= 8 shards from one snapshot, serve round-robin",
+      .title = "warm-boot >= 8 shards from one snapshot, serve in parallel",
       .grid = {{.name = "shards", .values = {8, 16}}},
       .deterministic = false,  // cold_boot_ms / fork_ms read the host clock
       .default_seed = 0xF1EE'7000ull,

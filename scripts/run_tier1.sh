@@ -1,24 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification (see ROADMAP.md):
+# Tier-1 verification (see ROADMAP.md), stages in run order:
 #   1. plain build + full ctest
-#   2. ASan+UBSan build + full ctest (catches the iterator-invalidation
-#      class of kernel bugs — e.g. mid-tick component removal — that a
-#      plain build can pass by luck)
-#   3. TSan build running the full scenario sweep at --jobs $(nproc):
-#      every (scenario, grid point) job executes on a worker thread, so
-#      any mutable state shared between "isolated" simulations shows up
-#      as a data race here (the no-mutable-statics rule of DESIGN.md).
-#   4. the kernel throughput guard scenario, which checks the gated and
-#      ungated scheduler agree on the simulated clock and records
-#      cycles/sec into BENCH_kernel.json
-#   5. the trace-overhead guard: one serve workload traced and untraced
-#      must be bit-identical (sim clock + Stats::all() + latency
-#      histograms) with traced host time within 2x untraced, and the
-#      written trace must round-trip through the ouessant_trace CLI
-#   6. the docs gate (scripts/check_docs.sh): every src/ subdir is in
+#   2. the docs gate (scripts/check_docs.sh): every src/ subdir is in
 #      docs/architecture.md, every ouessant_bench flag is documented in
 #      EXPERIMENTS.md, every path the docs reference exists
-#   7. the golden stage: every committed row of BENCH_serve.json,
+#   3. the golden stage: every committed row of BENCH_serve.json,
 #      BENCH_chain.json, BENCH_dpr.json, BENCH_fleet.json and
 #      BENCH_speed.json must equal a fresh `ouessant_bench --filter
 #      <family>` run metric for metric, except a named list of host
@@ -27,20 +13,39 @@
 #      fast-path engagement counts (batched bus chunks, decode-cache
 #      hits/misses, on and off), so a fast path that stops engaging fails
 #      here on any host; its cycles/sec figures are host time and exempt
-#   8. the snapshot-determinism stage: the mid-run restore bit-identity
+#   4. ASan+UBSan build + full ctest (catches the iterator-invalidation
+#      class of kernel bugs — e.g. mid-tick component removal — that a
+#      plain build can pass by luck)
+#   5. the snapshot-determinism stage: the mid-run restore bit-identity
 #      proofs (E1, serve, fault-armed) re-run on the sanitizer build,
 #      then the bench-level --snapshot/--restore flow round-trips a
 #      serve_mixed image through disk
-#   9. the slot-farm stage: test_dpr on the sanitizer build (exact ICAP
+#   6. the slot-farm stage: test_dpr on the sanitizer build (exact ICAP
 #      cycle accounting, preemptive swaps, cache LRU), then the DPRF
 #      scenarios with a guard that the demand-driven swap scheduler
 #      beats static slot assignment on the shifted demand mix
-#  10. the chain stage: test_chain on the sanitizer build (CHAIN CSR
+#   7. the chain stage: test_chain on the sanitizer build (CHAIN CSR
 #      semantics, ChainLink timing, linked vs store-and-forward
 #      bit-identity, the mid-batch snapshot round trip), then the CHAIN
 #      scenarios with a guard that the p2p linked mode beats the
 #      store-and-forward ablation on cycles and bus beats
-#  11. the fleet-observability stage: a 16-shard fault-armed fleet run
+#   8. the TSan stage: the full scenario sweep at --jobs $(nproc) —
+#      every (scenario, grid point) job executes on a worker thread, so
+#      any mutable state shared between "isolated" simulations shows up
+#      as a data race here (the no-mutable-statics rule of DESIGN.md) —
+#      then the parallel fleet shards: fleet_obs_guard (16 fault-armed
+#      shards, every observer armed) and the Fleet.* tests of
+#      test_snapshot, whose shards run on run_fleet's worker threads
+#   9. the TSan svc soak: one OffloadService per worker thread on a
+#      10k-job closed loop; any race or lost/rejected job fails the run
+#  10. the kernel throughput guard scenario, which checks the gated and
+#      ungated scheduler agree on the simulated clock and records
+#      cycles/sec into BENCH_kernel.json
+#  11. the trace-overhead guard: one serve workload traced and untraced
+#      must be bit-identical (sim clock + Stats::all() + latency
+#      histograms) with traced host time within 2x untraced, and the
+#      written trace must round-trip through the ouessant_trace CLI
+#  12. the fleet-observability stage: a 16-shard fault-armed fleet run
 #      twice, unarmed vs fully armed (sampling profiler + quantile
 #      sketches + SLO monitors + flight recorders) — every shard must be
 #      bit-identical and the armed run within 1.5x unarmed host time;
@@ -167,7 +172,7 @@ for r in rows:
 print("chain guard OK")
 EOF
 
-echo "==== tier-1: TSan parallel sweep ===="
+echo "==== tier-1: TSan parallel sweep + parallel fleet shards ===="
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -175,6 +180,13 @@ cmake -B build-tsan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
 cmake --build build-tsan -j --target ouessant_bench
 ./build-tsan/bench/ouessant_bench --jobs "$(nproc)" > /dev/null
+# Parallel fleet shards: run_fleet drives every shard on its own worker
+# thread, so a shard that touches anything but its own stack (or the
+# read-only image and FleetConfig) races here.
+cmake --build build-tsan -j --target fleet_obs_guard test_snapshot
+./build-tsan/bench/fleet_obs_guard build-tsan/bench/fleet_obs_guard.json \
+  build-tsan/bench/fleet_obs_guard
+./build-tsan/tests/test_snapshot --gtest_filter='Fleet.*'
 
 echo "==== tier-1: TSan svc soak (10k-job closed loop, 4 OCPs/shard) ===="
 # One OffloadService per worker thread: races between supposedly

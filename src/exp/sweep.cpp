@@ -1,9 +1,8 @@
 #include "exp/sweep.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
+
+#include "util/parallel.hpp"
 
 namespace ouessant::exp {
 
@@ -122,30 +121,11 @@ SweepOutcome run_sweep(const Registry& registry, const SweepOptions& options) {
   out.jobs = options.jobs < 1 ? 1 : options.jobs;
   out.results.resize(jobs.size());
 
+  // Each job writes the slot reserved for its expansion index, so the
+  // output order is independent of scheduling. run_job never throws.
   const auto t0 = std::chrono::steady_clock::now();
-  if (out.jobs == 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      out.results[i] = run_job(jobs[i]);
-    }
-  } else {
-    // Shared-index work stealing: workers claim the next job and write
-    // its result into the slot reserved for its expansion index, so the
-    // output order is independent of scheduling.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= jobs.size()) return;
-        out.results[i] = run_job(jobs[i]);
-      }
-    };
-    std::vector<std::thread> pool;
-    const std::size_t n_workers =
-        std::min<std::size_t>(static_cast<std::size_t>(out.jobs), jobs.size());
-    pool.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  util::parallel_for(jobs.size(), static_cast<unsigned>(out.jobs),
+                     [&](std::size_t i) { out.results[i] = run_job(jobs[i]); });
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

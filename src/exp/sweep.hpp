@@ -19,8 +19,8 @@
 namespace ouessant::exp {
 
 struct SweepOptions {
-  /// Worker threads. 1 = run inline on the calling thread; n > 1 spawns
-  /// n workers pulling jobs from a shared queue.
+  /// Worker threads. 1 = run inline on the calling thread; n > 1 runs
+  /// n workers claiming jobs through util::parallel_for.
   int jobs = 1;
   /// Comma-separated list of substrings; a scenario runs when its name,
   /// experiment id or title contains any of them. Empty = everything.

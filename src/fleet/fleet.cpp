@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <numeric>
+#include <thread>
 
 #include "obs/flight.hpp"
 #include "obs/profile.hpp"
 #include "obs/tracer.hpp"
+#include "util/parallel.hpp"
 
 namespace ouessant::fleet {
 
@@ -44,6 +47,9 @@ struct ShardObs {
   std::unique_ptr<obs::SamplingProfiler> profiler;
   std::unique_ptr<obs::SloMonitor> slo;
   std::unique_ptr<obs::FlightRecorder> flight;
+  /// This shard's exact e2e samples (keep_exact_histogram only),
+  /// appended to FleetReport::exact_e2e when the shard retires.
+  svc::LatencyStats exact_e2e;
   u64 digest = kFnvOffset;
 };
 
@@ -52,6 +58,9 @@ struct LiveShard {
   u64 seed = 0;
   ShardObs obs;
   std::unique_ptr<svc::OffloadService> service;
+  /// Written by the worker that drove the shard (see drive()).
+  u64 laps = 0;
+  svc::ServiceReport report;
 };
 
 /// Build a shard stack, warm-boot it from @p image, arm its telemetry.
@@ -59,8 +68,7 @@ struct LiveShard {
 /// recorder state — arming is pure host wiring) and before begin().
 std::unique_ptr<LiveShard> fork_shard(const FleetConfig& cfg,
                                       const snap::Snapshot& image,
-                                      u32 index,
-                                      svc::LatencyStats* exact_e2e) {
+                                      u32 index) {
   auto ls = std::make_unique<LiveShard>();
   ls->index = index;
   ls->seed = cfg.base_seed + index;
@@ -89,7 +97,8 @@ std::unique_ptr<LiveShard> fork_shard(const FleetConfig& cfg,
   }
 
   ShardObs* ob = &ls->obs;
-  shard.set_job_observer([ob, exact_e2e](const svc::Job& job) {
+  const bool keep_exact = cfg.obs.keep_exact_histogram;
+  shard.set_job_observer([ob, keep_exact](const svc::Job& job) {
     const u64 e2e = job.end_to_end();
     ob->digest = fnv1a_u64(ob->digest, job.id);
     ob->digest = fnv1a_u64(ob->digest, job.queue_wait());
@@ -98,7 +107,7 @@ std::unique_ptr<LiveShard> fork_shard(const FleetConfig& cfg,
     if (ob->slo != nullptr) {
       ob->slo->record_latency(static_cast<u32>(job.prio), job.complete, e2e);
     }
-    if (exact_e2e != nullptr) exact_e2e->add(e2e);
+    if (keep_exact) ob->exact_e2e.add(e2e);
   });
   if (ls->obs.slo != nullptr) {
     sim::Kernel* kernel = &shard.soc().kernel();
@@ -111,6 +120,17 @@ std::unique_ptr<LiveShard> fork_shard(const FleetConfig& cfg,
   load.seed = ls->seed;
   shard.begin(load, /*warm=*/true);
   return ls;
+}
+
+/// Serve a forked shard to completion and close its report. Touches
+/// nothing outside @p ls, so shards run on any thread. laps is the lap
+/// on which the serial round-robin driver (one step() per live shard per
+/// lap) would have retired the shard: its step() calls, minimum 1.
+void drive(LiveShard& ls) {
+  svc::OffloadService& shard = *ls.service;
+  ls.laps = 1;
+  while (!shard.finished() && !shard.step()) ++ls.laps;
+  ls.report = shard.finish();
 }
 
 }  // namespace
@@ -139,34 +159,49 @@ FleetReport run_fleet(const FleetConfig& cfg) {
   const snap::Snapshot image = tmpl.snapshot();
   fleet.snapshot_bytes = image.serialize().size();
 
-  svc::LatencyStats* exact =
-      cfg.obs.keep_exact_histogram ? &fleet.exact_e2e : nullptr;
-
-  // Fork the shards. Each is an independent stack with its own kernel;
-  // construction + restore + telemetry arming is the whole warm-boot
-  // cost.
+  // Fork the shards, serially on this thread. Each is an independent
+  // stack with its own kernel; construction + restore + telemetry arming
+  // is the whole warm-boot cost, and fork_ms_per_shard times it alone.
   std::vector<std::unique_ptr<LiveShard>> live;
   live.reserve(cfg.shards);
   const auto fork_t0 = Clock::now();
   for (u32 i = 0; i < cfg.shards; ++i) {
-    live.push_back(fork_shard(cfg, image, i, exact));
+    live.push_back(fork_shard(cfg, image, i));
   }
   fleet.fork_ms_per_shard =
       ms_since(fork_t0) / static_cast<double>(cfg.shards);
 
+  // Drive every shard to completion, one shard per claim, on up to
+  // cfg.jobs threads. Simulated clocks are independent and each shard
+  // owns its whole stack, so no shard can observe another or the thread
+  // it ran on.
+  const unsigned jobs =
+      cfg.jobs != 0 ? cfg.jobs
+                    : std::max(1u, std::thread::hardware_concurrency());
+  util::parallel_for(live.size(), jobs,
+                     [&](std::size_t i) { drive(*live[i]); });
+
+  // Retire the shards in the order a one-step-per-shard-per-lap
+  // round-robin driver would: by the lap a shard finished on, then by
+  // index within the lap. The order depends only on simulated state, so
+  // it is the same at every jobs level. Retiring folds a shard's report,
+  // sketch, SLO window and flight state into the fleet aggregates, then
+  // frees its stack. The sketch and SLO folds are commutative, but the
+  // throughput sum is floating point and flight_dumps is a list, so the
+  // order is what keeps them bit-identical.
+  std::vector<u32> order(cfg.shards);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](u32 a, u32 b) {
+    return live[a]->laps < live[b]->laps;  // ties keep index order
+  });
   fleet.shard_results.resize(cfg.shards);
   u64 retained_now = 0;
-
-  // Retire a finished shard NOW: finish its report, fold its sketch /
-  // SLO window / flight state into the fleet aggregates, then free the
-  // whole stack. Folding order is whatever completion order the
-  // workloads produce — safe, because every fold is commutative and
-  // associative (sketch bucket adds, SLO count adds, scalar sums).
-  auto retire = [&](std::unique_ptr<LiveShard>& ls) {
+  for (const u32 i : order) {
+    std::unique_ptr<LiveShard>& ls = live[i];
     ShardResult res;
     res.index = ls->index;
     res.seed = ls->seed;
-    res.report = ls->service->finish();
+    res.report = std::move(ls->report);
     res.e2e_sketch = std::move(ls->obs.sketch);
     res.digest = ls->obs.digest;
 
@@ -196,6 +231,9 @@ FleetReport run_fleet(const FleetConfig& cfg) {
         std::max(fleet.peak_retained_samples, retained_now);
 
     fleet.e2e_sketch.merge(res.e2e_sketch);
+    for (const u64 e2e : ls->obs.exact_e2e.samples()) {
+      fleet.exact_e2e.add(e2e);
+    }
     if (ls->obs.slo != nullptr) fleet.slo.merge(ls->obs.slo->report());
     if (ls->obs.flight != nullptr && ls->obs.flight->triggered()) {
       ++fleet.flight_triggers;
@@ -209,23 +247,7 @@ FleetReport run_fleet(const FleetConfig& cfg) {
       }
     }
     fleet.shard_results[res.index] = std::move(res);
-    ls.reset();  // free the stack: live memory tracks unfinished shards
-  };
-
-  // Round-robin drive: one service pass per shard per lap. Simulated
-  // clocks are independent, so the interleaving is pure host
-  // scheduling — no shard can observe another.
-  bool all_done = false;
-  while (!all_done) {
-    all_done = true;
-    for (auto& ls : live) {
-      if (ls == nullptr) continue;
-      if (!ls->service->finished() && !ls->service->step()) {
-        all_done = false;
-        continue;
-      }
-      retire(ls);
-    }
+    ls.reset();  // free the stack
   }
 
   if (!cfg.obs.slo_report_path.empty() && cfg.obs.slo) {
@@ -241,10 +263,9 @@ FleetReport run_fleet(const FleetConfig& cfg) {
     FleetConfig redo_cfg = cfg;
     redo_cfg.obs = FleetObsConfig{};
     redo_cfg.obs.sketch_error = cfg.obs.sketch_error;
-    auto redo = fork_shard(redo_cfg, image, 0, nullptr);
-    while (!redo->service->step()) {
-    }
-    const svc::ServiceReport again = redo->service->finish();
+    auto redo = fork_shard(redo_cfg, image, 0);
+    drive(*redo);
+    const svc::ServiceReport& again = redo->report;
     const u64 redo_digest = redo->obs.digest;
     const svc::ServiceReport& first = fleet.shard_results.front().report;
     fleet.reproducible = again.completed == first.completed &&

@@ -4,12 +4,18 @@
 // One *template* service stack is booted cold and driven through a
 // warm-up workload; its snapshot then seeds M independent shards
 // (SoC + service stacks), each warm-booted from the same image with its
-// own workload seed. The shards are driven round-robin on the host —
-// every simulated clock is independent, so interleaving order cannot
-// change any shard's result — and their reports are aggregated into
-// fleet metrics: total throughput, availability, mergeable latency
-// sketches, and the warm-fork vs cold-boot wall-time comparison that
-// justifies the machinery.
+// own workload seed. Forks run serially on the calling thread; the
+// shards are then driven to completion in parallel, one shard per
+// util::parallel_for claim on up to FleetConfig::jobs threads. Every
+// simulated clock is independent, so neither the thread count nor the
+// host schedule can change any shard's result. The reports are folded
+// into fleet metrics on the calling thread, in the order a serial
+// round-robin driver would retire them — by (laps, index), where laps
+// is the step() count a shard needed — so the floating-point
+// throughput sum, the SLO merge and the flight-dump list are
+// bit-identical at every jobs level. The metrics: total throughput,
+// availability, mergeable latency sketches, and the warm-fork vs
+// cold-boot wall-time comparison that justifies the machinery.
 //
 // Observability (docs/observability.md, "Fleet-scale observability"):
 // per-job latencies stream into DDSketch-style quantile sketches as
@@ -85,6 +91,10 @@ struct FleetConfig {
   /// two runs are bit-identical (fixed-seed reproducibility proof, via
   /// an order-sensitive digest over every completed job).
   bool verify_reproducible = true;
+  /// Host threads that drive the shards: 0 = hardware_concurrency(),
+  /// never more than `shards`. Every result is identical at any value
+  /// (Fleet.ParallelShardsMatchSerial); only host time moves.
+  unsigned jobs = 0;
   FleetObsConfig obs{};
 };
 
@@ -126,7 +136,8 @@ struct FleetReport {
   /// deterministic at any shard count.
   obs::QuantileSketch e2e_sketch;
   /// Exact merged histogram — populated only with keep_exact_histogram
-  /// (guard/validation runs).
+  /// (guard/validation runs). Each shard's samples are appended as it
+  /// retires.
   svc::LatencyStats exact_e2e;
   /// Peak raw latency samples retained across shard reports (must stay
   /// 0: everything streams through the sketch).
@@ -149,12 +160,13 @@ struct FleetReport {
   std::vector<ShardResult> shard_results;
 };
 
-/// Boot the template, snapshot it, fork and serve cfg.shards shards
-/// round-robin, aggregate. Shards retire (finish + fold + free) the
-/// moment they complete, so peak host memory tracks the widest point
-/// of live shards, not the whole fleet's history. Throws ConfigError
-/// on a config the service layer rejects and SnapshotError if the
-/// image fails validation.
+/// Boot the template, snapshot it, fork cfg.shards shards serially,
+/// serve them in parallel on up to cfg.jobs threads, then retire them
+/// (fold + free) on the calling thread in (laps, index) order. Throws
+/// ConfigError on a config the service layer rejects and SnapshotError
+/// if the image fails validation. An exception inside a shard stops
+/// further shards from starting and is rethrown once the running ones
+/// have finished (the lowest-index shard's, if several threw).
 [[nodiscard]] FleetReport run_fleet(const FleetConfig& cfg);
 
 }  // namespace ouessant::fleet

@@ -15,8 +15,9 @@
 //      serve_* service run, and a fault-armed run (injector RNG
 //      streams and firing log resume exactly).
 //   5. Warm-boot guard rails: restore into a differently-shaped stack
-//      throws instead of corrupting, and the fleet layer's fixed-seed
-//      shard replay reproduces bit-for-bit.
+//      throws instead of corrupting, the fleet layer's fixed-seed shard
+//      replay reproduces bit-for-bit, and the fleet's shard results and
+//      folded aggregates are identical at every shard-thread count.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -24,8 +25,10 @@
 #include <vector>
 
 #include "drv/session.hpp"
+#include "fault/plan.hpp"
 #include "fleet/fleet.hpp"
 #include "mem/sram.hpp"
+#include "obs/slo.hpp"
 #include "ouessant/codegen.hpp"
 #include "platform/soc.hpp"
 #include "rac/idct.hpp"
@@ -578,6 +581,98 @@ TEST(Fleet, RejectsEmptyFleet) {
   fleet::FleetConfig cfg;
   cfg.shards = 0;
   EXPECT_THROW((void)fleet::run_fleet(cfg), ConfigError);
+}
+
+/// An 8-shard fleet with three batching workers. Armed, it takes the
+/// fleet_slo shape: bus ERROR beats plus a hung RAC on worker 0, and
+/// every observability arm live, so each shard quarantines a worker,
+/// trips its flight recorder and burns SLO budget.
+fleet::FleetConfig parallel_fleet(bool armed) {
+  fleet::FleetConfig cfg;
+  cfg.shards = 8;
+  cfg.base_seed = 0xF1EE'3A11ull;
+  cfg.service.ocps = {svc::OcpSpec{.kind = svc::JobKind::kIdct, .max_batch = 2},
+                      svc::OcpSpec{.kind = svc::JobKind::kDft, .max_batch = 2},
+                      svc::OcpSpec{.kind = svc::JobKind::kFir, .max_batch = 2}};
+  cfg.service.queue_depth = 64;
+  cfg.warmup.jobs = 60;
+  cfg.warmup.mean_gap = 200.0;
+  cfg.warmup.kinds = {svc::JobKind::kIdct, svc::JobKind::kDft,
+                      svc::JobKind::kFir};
+  cfg.shard_load = cfg.warmup;
+  cfg.shard_load.jobs = 48;
+  cfg.shard_load.high_fraction = 0.25;
+  cfg.obs.keep_exact_histogram = true;
+  if (!armed) return cfg;
+
+  // The hang must first fire inside the shards, not the template.
+  cfg.warmup.kinds = {svc::JobKind::kDft, svc::JobKind::kFir};
+  cfg.service.faults.add({.kind = fault::FaultKind::kBusError, .prob = 1e-4})
+      .add({.kind = fault::FaultKind::kRacHang, .ocp = 0, .prob = 1.0});
+  cfg.service.retry = svc::RetryPolicy{.max_attempts = 4,
+                                       .backoff_base = 2048,
+                                       .backoff_mult = 2,
+                                       .quarantine_after = 2,
+                                       .watchdog_cycles = 16'384};
+  cfg.obs.profiler = true;
+  cfg.obs.slo = true;
+  cfg.obs.slo_config.classes = {
+      obs::SloObjective{
+          .name = "high", .latency_cycles = 20'000, .target = 0.99},
+      obs::SloObjective{
+          .name = "normal", .latency_cycles = 60'000, .target = 0.95}};
+  cfg.obs.slo_config.long_window = 40'000;
+  cfg.obs.slo_config.short_window = 5'000;
+  cfg.obs.flight = true;
+  cfg.obs.flight_capacity = 512;
+  cfg.obs.flight_dump_stem = ::testing::TempDir() + "fleet_parallel";
+  return cfg;
+}
+
+TEST(Fleet, ParallelShardsMatchSerial) {
+  for (const bool armed : {false, true}) {
+    fleet::FleetConfig cfg = parallel_fleet(armed);
+    cfg.jobs = 1;
+    const fleet::FleetReport serial = fleet::run_fleet(cfg);
+    ASSERT_EQ(serial.shard_results.size(), 8u);
+    EXPECT_TRUE(serial.reproducible);
+    if (armed) {
+      EXPECT_EQ(serial.flight_triggers, 8u);
+      EXPECT_EQ(serial.flight_dumps.size(), 8u);
+      EXPECT_GT(serial.total_failed, 0u);
+    }
+
+    for (const unsigned jobs : {3u, 8u}) {
+      SCOPED_TRACE("armed " + std::to_string(armed) + " jobs " +
+                   std::to_string(jobs));
+      cfg.jobs = jobs;
+      const fleet::FleetReport par = fleet::run_fleet(cfg);
+      ASSERT_EQ(par.shard_results.size(), serial.shard_results.size());
+      for (std::size_t i = 0; i < serial.shard_results.size(); ++i) {
+        const fleet::ShardResult& a = serial.shard_results[i];
+        const fleet::ShardResult& b = par.shard_results[i];
+        EXPECT_EQ(b.index, a.index);
+        EXPECT_EQ(b.digest, a.digest) << "shard " << i;
+        EXPECT_EQ(b.report.start, a.report.start) << "shard " << i;
+        EXPECT_EQ(b.report.end, a.report.end) << "shard " << i;
+        EXPECT_EQ(b.report.completed, a.report.completed) << "shard " << i;
+        EXPECT_EQ(b.report.failed, a.report.failed) << "shard " << i;
+        EXPECT_EQ(b.flight_reason, a.flight_reason) << "shard " << i;
+      }
+      // A floating-point sum: equal only if folded in the same order.
+      EXPECT_EQ(par.throughput_jpmc, serial.throughput_jpmc);
+      EXPECT_TRUE(par.e2e_sketch == serial.e2e_sketch);
+      EXPECT_EQ(par.slo.to_json(), serial.slo.to_json());
+      EXPECT_EQ(par.flight_dumps, serial.flight_dumps);
+      EXPECT_EQ(par.flight_triggers, serial.flight_triggers);
+      EXPECT_EQ(par.exact_e2e.count(), serial.exact_e2e.count());
+      for (const double p : {50.0, 90.0, 99.0, 99.9}) {
+        EXPECT_EQ(par.exact_e2e.percentile(p), serial.exact_e2e.percentile(p))
+            << "p" << p;
+      }
+      EXPECT_TRUE(par.reproducible);
+    }
+  }
 }
 
 }  // namespace

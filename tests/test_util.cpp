@@ -1,11 +1,18 @@
-// Unit tests for util: fixed point, PRNG, golden transforms, and the
-// bit-exact fixed-point datapaths.
+// Unit tests for util: fixed point, PRNG, golden transforms, the
+// bit-exact fixed-point datapaths, and the parallel_for work-claim pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <complex>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/fixed.hpp"
+#include "util/parallel.hpp"
 #include "util/reference.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
@@ -439,6 +446,57 @@ TEST(Text, CursorNumbersAndErrorsAreTyped) {
     EXPECT_EQ(std::string(e.what()),
               "ctx: expected a finite number at byte 4");
   }
+}
+
+// ------------------------------------------------------------- parallel --
+
+TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
+  for (std::size_t count = 0; count <= 17; ++count) {
+    for (unsigned jobs = 1; jobs <= 8; ++jobs) {
+      std::vector<std::atomic<int>> hits(count);
+      util::parallel_for(count, jobs, [&](std::size_t i) { ++hits[i]; });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "count " << count << " jobs " << jobs << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, RethrowsTheLowestThrowingIndex) {
+  for (unsigned jobs = 1; jobs <= 8; ++jobs) {
+    std::atomic<std::size_t> calls{0};
+    try {
+      util::parallel_for(12, jobs, [&](std::size_t i) {
+        ++calls;
+        if (i == 2) {
+          // Let index 5 throw first whenever it runs concurrently.
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        if (i == 2 || i == 5) {
+          throw std::runtime_error("index " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "jobs " << jobs << ": nothing was rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "index 2") << "jobs " << jobs;
+    }
+    // Inline, the first throw ends the loop.
+    if (jobs == 1) EXPECT_EQ(calls.load(), 3u);
+  }
+}
+
+TEST(ParallelFor, StopsClaimingAfterAThrow) {
+  std::atomic<std::size_t> calls{0};
+  EXPECT_THROW(util::parallel_for(200, 4,
+                                  [&](std::size_t i) {
+                                    ++calls;
+                                    if (i == 0) throw std::logic_error("0");
+                                    std::this_thread::sleep_for(
+                                        std::chrono::milliseconds(1));
+                                  }),
+               std::logic_error);
+  EXPECT_LT(calls.load(), 200u);
 }
 
 }  // namespace
