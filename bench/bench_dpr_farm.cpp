@@ -21,40 +21,26 @@
 // included — so reconfiguration cycles are attributed, not assumed.
 #include "scenarios.hpp"
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/collect.hpp"
-#include "obs/tracer.hpp"
 #include "svc/service.hpp"
+#include "traced_run.hpp"
 
 namespace ouessant::scenarios {
 namespace {
 
-/// Run @p service over @p schedule with the standard trace wiring, then
+/// Run @p service over @p schedule with the --trace-events wiring, then
 /// flatten the report + farm counters and prove the extended ledger.
 void farm_point(svc::OffloadService& service, std::vector<svc::Job> schedule,
                 const exp::RunContext& ctx, exp::Result& result) {
-  std::unique_ptr<sim::VcdTrace> trace;
-  if (!ctx.trace_path.empty()) {
-    trace = std::make_unique<sim::VcdTrace>(service.soc().kernel(),
-                                            ctx.trace_path, "dprf");
-    service.attach_trace(*trace);
-  }
-  std::unique_ptr<obs::EventTracer> tracer;
-  if (!ctx.trace_events_path.empty()) {
-    tracer = std::make_unique<obs::EventTracer>(service.soc().kernel());
-    service.attach_tracer(*tracer);
-  }
+  const TracedRun traced(service, ctx.trace_events_path);
   const svc::ServiceReport rep = service.run_schedule(std::move(schedule));
   rep.add_to(result);
   obs::validate_soc_ledger(service.soc(), *service.icap());
-  if (tracer != nullptr) {
-    tracer->write_json(ctx.trace_events_path);
-    result.add_metric("trace_events", static_cast<u64>(tracer->event_count()));
-  }
+  traced.finish(result);
   const bus::MasterStats& icap = service.icap()->master_stats();
   result.add_metric("icap_wait_cycles", icap.wait_cycles + icap.stall_cycles);
   if (rep.completed + rep.rejected != rep.jobs) {

@@ -4,9 +4,9 @@
 // (a slow simulator makes the experiment benches painful), not a paper
 // result.
 //
-// The kernel quiescence-gating throughput guard that used to live here is
-// now the "kernel_gating" scenario (bench_kernel_guard.cpp), run through
-// ouessant_bench like every other experiment.
+// The host-speed guard (gated vs ungated kernel, batched vs per-beat bus,
+// decode cache on vs off) is the "sim_speed" scenario (bench_speed.cpp),
+// run through ouessant_bench like every other experiment.
 #include <benchmark/benchmark.h>
 
 #include "drv/session.hpp"

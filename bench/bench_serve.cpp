@@ -18,47 +18,28 @@
 //
 // All five are seeded (run_ctx) scenarios: the RunContext seed drives
 // every random decision, so identical seeds give bit-identical
-// histograms, and --trace writes queue-depth / per-OCP-busy VCDs.
+// histograms, and --trace-events writes an event trace plus a
+// queue-depth / in-flight / per-OCP-busy time-series.
 #include "scenarios.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "obs/collect.hpp"
-#include "obs/sampler.hpp"
-#include "obs/tracer.hpp"
 #include "snap/snapshot.hpp"
 #include "svc/service.hpp"
+#include "traced_run.hpp"
 
 namespace ouessant::scenarios {
 namespace {
 
-/// Sampling period for --trace-events metrics time-series: fine enough
-/// to see queue oscillation, coarse enough to keep files small.
-constexpr u64 kMetricsPeriod = 64;
-
-/// Build the service, optionally attach the VCD probes and/or the event
-/// tracer + metrics sampler, serve the workload, and flatten report +
-/// bus utilization into the result. Every run closes with a CycleLedger
-/// proof that per-component cycle attribution sums to wall cycles.
+/// Build the service, optionally attach the --trace-events observers,
+/// serve the workload, and flatten report + bus utilization into the
+/// result. Every run closes with a CycleLedger proof that per-component
+/// cycle attribution sums to wall cycles.
 void serve_point(svc::ServiceConfig cfg, svc::WorkloadConfig wl,
                  const exp::RunContext& ctx, exp::Result& result) {
   svc::OffloadService service(std::move(cfg));
-  std::unique_ptr<sim::VcdTrace> trace;
-  if (!ctx.trace_path.empty()) {
-    trace = std::make_unique<sim::VcdTrace>(service.soc().kernel(),
-                                            ctx.trace_path, "svc");
-    service.attach_trace(*trace);
-  }
-  std::unique_ptr<obs::EventTracer> tracer;
-  std::unique_ptr<obs::MetricsSampler> metrics;
-  if (!ctx.trace_events_path.empty()) {
-    tracer = std::make_unique<obs::EventTracer>(service.soc().kernel());
-    service.attach_tracer(*tracer);
-    metrics = std::make_unique<obs::MetricsSampler>(service.soc().kernel(),
-                                                    kMetricsPeriod);
-    service.attach_metrics(*metrics);
-  }
+  const TracedRun traced(service, ctx.trace_events_path);
   wl.seed = ctx.seed;
   svc::ServiceReport rep;
   if (!ctx.restore_path.empty()) {
@@ -79,11 +60,7 @@ void serve_point(svc::ServiceConfig cfg, svc::WorkloadConfig wl,
   }
   rep.add_to(result);
   obs::validate_soc_ledger(service.soc());
-  if (tracer != nullptr) {
-    tracer->write_json(ctx.trace_events_path);
-    metrics->write_json(ctx.trace_events_path + ".metrics.json");
-    result.add_metric("trace_events", static_cast<u64>(tracer->event_count()));
-  }
+  traced.finish(result);
   const Cycle now = service.soc().kernel().now();
   result.add_metric(
       "bus_util_pct",

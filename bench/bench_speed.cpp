@@ -1,8 +1,9 @@
-// Raw-simulator-speed guard: host cycles/sec with the event-batching
-// optimizations on vs forced off.
+// Raw-simulator-speed guard: host cycles/sec with every scheduling and
+// event-batching optimization on vs forced off (the seed tree: ungated
+// kernel, per-beat bus, no decode cache).
 //
-// Three workloads cover the hot paths the batched-burst windows and the
-// decoded-microcode cache accelerate:
+// Four workloads cover the hot paths quiescence gating, the batched-burst
+// windows and the decoded-microcode cache accelerate:
 //   idct_invoke   repeated 64-word IDCT invocations (E1's Table-I HW
 //                 path, polling driver): short bursts + a fetch/decode-
 //                 heavy microcode loop — the decode cache's best case.
@@ -13,6 +14,11 @@
 //   serve_multi   the offload service fanning jobs over 4 IDCT workers
 //                 on one AHB (serve_multi_ocp's shape): contention,
 //                 IRQs, and scheduler traffic mixed in.
+//   idle_dft      duty-cycled 256-point DFT frames, interrupt driver:
+//                 each frame blocks on exec (the ~2.5k-cycle compute
+//                 countdown) and then the whole SoC idles until the next
+//                 frame period — gating's best case, where a quiet SoC
+//                 fast-forwards in one jump.
 //
 // Each workload runs both configurations, proves the simulated clock is
 // bit-identical (the optimizations must be invisible), and reports
@@ -40,6 +46,7 @@
 #include "drv/session.hpp"
 #include "ouessant/codegen.hpp"
 #include "platform/soc.hpp"
+#include "rac/dft.hpp"
 #include "rac/idct.hpp"
 #include "svc/service.hpp"
 #include "util/fixed.hpp"
@@ -48,10 +55,10 @@
 namespace ouessant::scenarios {
 namespace {
 
-/// Force every optimization this PR added off, reproducing the per-beat,
-/// per-decode tree. Gating stays on in both modes — it predates this
-/// guard and has its own scenario (kernel_gating).
+/// Force every host-speed optimization off, reproducing the seed's
+/// tick-everything, per-beat, per-decode tree.
 void strip_optimizations(platform::Soc& soc) {
+  soc.kernel().set_gating(false);
   soc.bus().set_batching(false);
   for (std::size_t i = 0; i < soc.ocp_count(); ++i) {
     soc.ocp(i).controller().set_decode_cache(false);
@@ -191,6 +198,38 @@ Run run_serve_multi(bool optimized) {
   return timed(service.soc(), [&] { service.run(wl); });
 }
 
+Run run_idle_dft(bool optimized) {
+  // Cycles between frame starts — the inter-job idle a periodic signal-
+  // processing deployment spends waiting for the next buffer.
+  constexpr u64 kFrameSlack = 20'000;
+  platform::Soc soc;
+  rac::DftRac dft(soc.kernel(), "dft", {.points = 256});
+  core::Ocp& ocp = soc.add_ocp(dft);
+  if (!optimized) strip_optimizations(soc);
+  drv::OcpSession session(soc.cpu(), soc.sram(), ocp,
+                          {.prog_base = 0x4000'0000,
+                           .in_base = 0x4001'0000,
+                           .out_base = 0x4002'0000,
+                           .in_words = 512,
+                           .out_words = 512});
+  // overlap=false: move all input, block on exec, then move the output —
+  // the exec window is a pure wait (controller in exec-wait, bus idle,
+  // CPU asleep on the IRQ line).
+  session.install(core::build_stream_program({.in_words = 512,
+                                              .out_words = 512,
+                                              .burst = 64,
+                                              .overlap = false}),
+                  /*timed_program=*/false);
+  const std::vector<u32> in = signal_words(512, 11);
+  return timed(soc, [&] {
+    for (int frame = 0; frame < 50; ++frame) {
+      session.put_input(in);
+      session.run_irq();
+      soc.cpu().spend(kFrameSlack);
+    }
+  });
+}
+
 void run_point(const exp::ParamMap& params, exp::Result& result) {
   const std::string& workload = params.get_str("workload");
   Run (*one)(bool) = nullptr;
@@ -198,8 +237,10 @@ void run_point(const exp::ParamMap& params, exp::Result& result) {
     one = run_idct_invoke;
   } else if (workload == "burst_xfer") {
     one = run_burst_xfer;
-  } else {
+  } else if (workload == "serve_multi") {
     one = run_serve_multi;
+  } else {
+    one = run_idle_dft;
   }
   const SpeedSample opt = measure([&] { return one(true); });
   const SpeedSample base = measure([&] { return one(false); });
@@ -229,9 +270,11 @@ void register_speed(exp::Registry& r) {
   r.add(exp::ScenarioSpec{
       .name = "sim_speed",
       .experiment = "guard",
-      .title = "raw simulator speed: batched beats + decode cache on vs off",
+      .title = "raw simulator speed: gating + batched beats + decode cache "
+               "on vs off",
       .grid = {{.name = "workload",
-                .values = {"idct_invoke", "burst_xfer", "serve_multi"}}},
+                .values = {"idct_invoke", "burst_xfer", "serve_multi",
+                           "idle_dft"}}},
       .deterministic = false,
       .run = run_point,
   });

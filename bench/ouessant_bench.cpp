@@ -14,12 +14,10 @@
 //                                       wall clocks + speedup in the JSON
 //   ouessant_bench --seed 42            override the built-in seed of every
 //                                       seeded (run_ctx) scenario
-//   ouessant_bench --trace STEM         write STEM_<scenario>_<point>.vcd
-//                                       for every seeded scenario run
 //   ouessant_bench --trace-events STEM  write Chrome trace-event JSON
 //                                       (STEM_<scenario>_<point>.trace.json
 //                                       + .metrics.json time-series) for
-//                                       every seeded scenario run; view
+//                                       every SVC and DPRF run; view
 //                                       with ouessant_trace or Perfetto
 //   ouessant_bench --faults SPEC        override the fault plan of every
 //                                       fault-aware (serve_faulty)
@@ -63,7 +61,6 @@ struct Options {
   int compare_jobs = 0;  // 0 = off
   std::string json_path;
   std::optional<ouessant::u64> seed;
-  std::string trace_stem;
   std::string trace_events_stem;
   std::string faults;
   std::string snapshot_stem;
@@ -79,7 +76,7 @@ void usage(const char* argv0, std::FILE* to) {
   std::fprintf(to,
                "usage: %s [--help] [--list] [--filter SUBSTR[,SUBSTR...]]\n"
                "          [--jobs N] [--json PATH] [--compare-jobs N]\n"
-               "          [--seed U64] [--trace STEM] [--trace-events STEM]\n"
+               "          [--seed U64] [--trace-events STEM]\n"
                "          [--faults SPEC] [--snapshot STEM] [--restore FILE]\n"
                "          [--chain linked|store_forward]\n",
                argv0);
@@ -126,10 +123,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
       if (v == nullptr) return false;
       opt->seed = util::parse_u64(v);
       if (!opt->seed) return false;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt->trace_stem = v;
     } else if (arg == "--trace-events") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -265,29 +258,21 @@ int main(int argc, char** argv) {
     meta.push_back("\"seed\": " + std::to_string(*opt.seed));
   }
 
+  exp::SweepOptions sweep{.jobs = opt.jobs,
+                          .filter = opt.filter,
+                          .seed = opt.seed,
+                          .trace_events_stem = opt.trace_events_stem,
+                          .faults = opt.faults,
+                          .snapshot_stem = opt.snapshot_stem,
+                          .restore_path = opt.restore_path,
+                          .chain = opt.chain};
   try {
     if (opt.compare_jobs > 0) {
       const auto jobs = exp::expand_jobs(registry, opt.filter);
-      const auto serial = exp::run_sweep(
-          registry, {.jobs = 1,
-                     .filter = opt.filter,
-                     .seed = opt.seed,
-                     .trace_stem = opt.trace_stem,
-                     .trace_events_stem = opt.trace_events_stem,
-                     .faults = opt.faults,
-                     .snapshot_stem = opt.snapshot_stem,
-                     .restore_path = opt.restore_path,
-                     .chain = opt.chain});
-      const auto parallel = exp::run_sweep(
-          registry, {.jobs = opt.compare_jobs,
-                     .filter = opt.filter,
-                     .seed = opt.seed,
-                     .trace_stem = opt.trace_stem,
-                     .trace_events_stem = opt.trace_events_stem,
-                     .faults = opt.faults,
-                     .snapshot_stem = opt.snapshot_stem,
-                     .restore_path = opt.restore_path,
-                     .chain = opt.chain});
+      sweep.jobs = 1;
+      const auto serial = exp::run_sweep(registry, sweep);
+      sweep.jobs = opt.compare_jobs;
+      const auto parallel = exp::run_sweep(registry, sweep);
       const bool identical =
           payloads_identical(jobs, serial.results, parallel.results);
       const double speedup = serial.wall_seconds / parallel.wall_seconds;
@@ -314,16 +299,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const auto outcome = exp::run_sweep(
-        registry, {.jobs = opt.jobs,
-                   .filter = opt.filter,
-                   .seed = opt.seed,
-                   .trace_stem = opt.trace_stem,
-                   .trace_events_stem = opt.trace_events_stem,
-                   .faults = opt.faults,
-                   .snapshot_stem = opt.snapshot_stem,
-                   .restore_path = opt.restore_path,
-                   .chain = opt.chain});
+    const auto outcome = exp::run_sweep(registry, sweep);
     print_tables(registry, outcome.results);
     std::printf("sweep: %zu runs | jobs=%d | %.3fs | %zu failed\n",
                 outcome.results.size(), outcome.jobs, outcome.wall_seconds,

@@ -6,7 +6,10 @@
 // Built on the experiment layer: each block invocation fills one
 // exp::Result row, the block table is rendered by exp::render_table, and
 // --json persists the rows (plus the SoC utilization snapshot) in the
-// same ouessant.sweep.v1 schema the bench driver writes.
+// same ouessant.sweep.v1 schema the bench driver writes. --trace records
+// the standard probes on a period-1 obs::MetricsSampler (one row per
+// cycle; these runs are a few thousand cycles) and writes them as a VCD
+// waveform.
 //
 //   soc_sim [--rac idct|dft256|fir16|pass] [--bus ahb|axi4|axilite]
 //           [--env baremetal|linux] [--burst N] [--loop] [--blocks N]
@@ -19,6 +22,7 @@
 
 #include "drv/linux_env.hpp"
 #include "exp/result.hpp"
+#include "obs/sampler.hpp"
 #include "ouessant/codegen.hpp"
 #include "platform/report.hpp"
 #include "platform/soc.hpp"
@@ -117,10 +121,10 @@ int main(int argc, char** argv) {
 
   core::Ocp& ocp = soc.add_ocp(*rac);
 
-  std::unique_ptr<sim::VcdTrace> trace;
+  std::unique_ptr<obs::MetricsSampler> probes;
   if (!opt.trace.empty()) {
-    trace = std::make_unique<sim::VcdTrace>(soc.kernel(), opt.trace);
-    platform::attach_standard_probes(*trace, soc, ocp);
+    probes = std::make_unique<obs::MetricsSampler>(soc.kernel(), 1);
+    platform::attach_standard_probes(*probes, soc, ocp);
   }
 
   drv::OcpSession session(soc.cpu(), soc.sram(), ocp,
@@ -182,6 +186,9 @@ int main(int argc, char** argv) {
                      "\"env\": \"" + opt.env + "\""});
     std::printf("\nresults written to %s\n", opt.json.c_str());
   }
-  if (trace) std::printf("\nwaveform written to %s\n", opt.trace.c_str());
+  if (probes) {
+    probes->write_vcd(opt.trace, "soc");
+    std::printf("\nwaveform written to %s\n", opt.trace.c_str());
+  }
   return 0;
 }

@@ -26,10 +26,10 @@ JOBS="${JOBS:-$DEFAULT_JOBS}"
 # percentile), so reviewers diff BENCH_serve.json on its own.
 ./build/bench/ouessant_bench --filter serve --compare-jobs "$JOBS" \
   --json BENCH_serve.json | tee build/experiment-logs/serve.txt
-# Raw-simulator-speed baseline for run_tier1.sh's speed guard: host
-# cycles/sec with the batched bus windows and decode cache on vs forced
-# off. Re-recording on a new reference host is how the guard's floor is
-# moved; meta.host_cpus records what produced it.
+# The host-speed record (docs/performance.md): cycles/sec with gating,
+# the batched bus windows and the decode cache on vs all forced off.
+# run_tier1.sh's golden stage pins its fast-path engagement counts; the
+# cycles/sec keys are host time, and meta.host_cpus records the host.
 ./build/bench/ouessant_bench --filter sim_speed \
   --json BENCH_speed.json | tee build/experiment-logs/speed.txt
 # The fleet record (docs/fleet.md): fleet_warmboot — >= 8 shards forked

@@ -12,7 +12,11 @@
 #      file in the same change. For sim_speed that pins the deterministic
 #      fast-path engagement counts (batched bus chunks, decode-cache
 #      hits/misses, on and off), so a fast path that stops engaging fails
-#      here on any host; its cycles/sec figures are host time and exempt
+#      here on any host; its cycles/sec figures are host time and exempt.
+#      Every sim_speed point also fails itself unless the optimized and
+#      the seed configuration (ungated kernel, per-beat bus, no decode
+#      cache) agree on the simulated clock — idle_dft is the gated-vs-
+#      ungated identity check on an idle-heavy workload
 #   4. ASan+UBSan build + full ctest (catches the iterator-invalidation
 #      class of kernel bugs — e.g. mid-tick component removal — that a
 #      plain build can pass by luck)
@@ -38,14 +42,11 @@
 #      test_snapshot, whose shards run on run_fleet's worker threads
 #   9. the TSan svc soak: one OffloadService per worker thread on a
 #      10k-job closed loop; any race or lost/rejected job fails the run
-#  10. the kernel throughput guard scenario, which checks the gated and
-#      ungated scheduler agree on the simulated clock and records
-#      cycles/sec into BENCH_kernel.json
-#  11. the trace-overhead guard: one serve workload traced and untraced
+#  10. the trace-overhead guard: one serve workload traced and untraced
 #      must be bit-identical (sim clock + Stats::all() + latency
 #      histograms) with traced host time within 2x untraced, and the
 #      written trace must round-trip through the ouessant_trace CLI
-#  12. the fleet-observability stage: a 16-shard fault-armed fleet run
+#  11. the fleet-observability stage: a 16-shard fault-armed fleet run
 #      twice, unarmed vs fully armed (sampling profiler + quantile
 #      sketches + SLO monitors + flight recorders) — every shard must be
 #      bit-identical and the armed run within 1.5x unarmed host time;
@@ -194,12 +195,6 @@ echo "==== tier-1: TSan svc soak (10k-job closed loop, 4 OCPs/shard) ===="
 # src/svc/) surface here, and any lost/rejected job fails the run.
 cmake --build build-tsan -j --target svc_soak
 ./build-tsan/bench/svc_soak --jobs "$(nproc)" --total 10000
-
-echo "==== tier-1: kernel throughput guard ===="
-./build/bench/ouessant_bench --filter kernel_gating \
-  --json build/bench/BENCH_kernel.json
-echo "guard record:"
-cat build/bench/BENCH_kernel.json
 
 echo "==== tier-1: trace-overhead guard + ouessant_trace round-trip ===="
 cmake --build build -j --target trace_guard ouessant_trace

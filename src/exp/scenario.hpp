@@ -21,12 +21,11 @@ namespace ouessant::exp {
 
 /// Per-run context the sweep threads into context-aware scenarios: the
 /// seed the run must use (the spec's default_seed unless the driver's
-/// --seed overrides it) and optional trace destinations ("" = off) — a
-/// VCD waveform path and a Chrome trace-event JSON path. Plain runs
-/// (ScenarioSpec::run) never see it.
+/// --seed overrides it) and an optional Chrome trace-event JSON path
+/// ("" = off; the run writes its metrics time-series next to it). Plain
+/// runs (ScenarioSpec::run) never see it.
 struct RunContext {
   u64 seed = 0;
-  std::string trace_path;
   std::string trace_events_path;
   /// Fault plan spec string (ouessant_bench --faults, fault::FaultPlan
   /// grammar). "" = the scenario's built-in plan (usually none). Only

@@ -59,20 +59,15 @@ std::vector<SweepJob> expand_jobs(const Registry& registry,
     job.faults = options.faults;
     job.restore_path = options.restore_path;
     job.chain = options.chain;
-    if (options.trace_stem.empty() && options.trace_events_stem.empty() &&
-        options.snapshot_stem.empty()) {
+    if (options.trace_events_stem.empty() && options.snapshot_stem.empty()) {
       continue;
     }
     // One per-spec point counter shared by all artifact kinds, so the
-    // VCD, event trace and snapshot of the same run carry the same
-    // suffix.
+    // event trace and snapshot of the same run carry the same suffix.
     point = (job.spec == last) ? point + 1 : 0;
     last = job.spec;
     const std::string suffix =
         "_" + job.spec->name + "_" + std::to_string(point);
-    if (!options.trace_stem.empty()) {
-      job.trace_path = options.trace_stem + suffix + ".vcd";
-    }
     if (!options.trace_events_stem.empty()) {
       job.trace_events_path =
           options.trace_events_stem + suffix + ".trace.json";
@@ -94,7 +89,6 @@ Result run_job(const SweepJob& job) {
     if (job.spec->run_ctx) {
       RunContext ctx;
       ctx.seed = job.seed.value_or(job.spec->default_seed);
-      ctx.trace_path = job.trace_path;
       ctx.trace_events_path = job.trace_events_path;
       ctx.faults = job.faults;
       ctx.snapshot_path = job.snapshot_path;

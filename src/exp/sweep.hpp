@@ -29,9 +29,6 @@ struct SweepOptions {
   /// --seed). Unset = each spec's built-in seed, so the default sweep
   /// stays bit-identical run to run.
   std::optional<u64> seed;
-  /// When non-empty, each run_ctx job gets a VCD trace written to
-  /// "<stem>_<scenario>_<point>.vcd" (ouessant_bench --trace).
-  std::string trace_stem;
   /// When non-empty, each run_ctx job gets a Chrome trace-event JSON
   /// (plus a "<...>.metrics.json" time-series) written to
   /// "<stem>_<scenario>_<point>.trace.json" (--trace-events).
@@ -57,8 +54,6 @@ struct SweepJob {
   ParamMap params;
   /// Seed override for run_ctx specs (from SweepOptions::seed).
   std::optional<u64> seed;
-  /// Per-job VCD destination ("" = no tracing).
-  std::string trace_path;
   /// Per-job trace-event JSON destination ("" = no tracing).
   std::string trace_events_path;
   /// Fault plan spec override ("" = scenario default).

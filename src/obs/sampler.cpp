@@ -1,5 +1,7 @@
 #include "obs/sampler.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <fstream>
 
 #include "obs/artifact.hpp"
@@ -92,6 +94,16 @@ std::vector<std::string> string_array(util::JsonCursor& cur) {
   return out;
 }
 
+/// Printable VCD identifier for column @p index, '!' (33) to '~' (126).
+std::string vcd_id(std::size_t index) {
+  std::string id;
+  do {
+    id.push_back(static_cast<char>('!' + index % 94));
+    index /= 94;
+  } while (index != 0);
+  return id;
+}
+
 }  // namespace
 
 std::string MetricsSampler::to_json() const {
@@ -126,6 +138,51 @@ std::string MetricsSampler::to_json() const {
 void MetricsSampler::write_json(const std::string& path) const {
   std::ofstream out = open_artifact(path, "MetricsSampler");
   out << to_json();
+}
+
+void MetricsSampler::write_vcd(const std::string& path,
+                               const std::string& top) const {
+  std::vector<unsigned> widths(columns_.size(), 1);
+  for (const Sample& s : samples_) {
+    for (std::size_t c = 0; c < s.values.size(); ++c) {
+      widths[c] = std::max(widths[c],
+                           static_cast<unsigned>(std::bit_width(s.values[c])));
+    }
+  }
+  std::vector<std::string> ids;
+  for (std::size_t c = 0; c < columns_.size(); ++c) ids.push_back(vcd_id(c));
+
+  std::ofstream out = open_artifact(path, "MetricsSampler");
+  out << "$date simulated $end\n$version ouessant-sim $end\n"
+      << "$timescale 20ns $end\n$scope module " << top << " $end\n";
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    out << "$var wire " << widths[c] << ' ' << ids[c] << ' ' << columns_[c]
+        << " $end\n";
+  }
+  out << "$upscope $end\n$enddefinitions $end\n";
+
+  const Sample* prev = nullptr;
+  for (const Sample& s : samples_) {
+    bool stamped = false;
+    for (std::size_t c = 0; c < s.values.size(); ++c) {
+      const u64 v = s.values[c];
+      if (prev != nullptr && prev->values[c] == v) continue;
+      if (!stamped) {
+        out << '#' << s.cycle << '\n';
+        stamped = true;
+      }
+      if (widths[c] == 1) {
+        out << v << ids[c] << '\n';
+        continue;
+      }
+      out << 'b';
+      for (int b = static_cast<int>(widths[c]) - 1; b >= 0; --b) {
+        out << ((v >> b) & 1);
+      }
+      out << ' ' << ids[c] << '\n';
+    }
+    prev = &s;
+  }
 }
 
 // ----------------------------------------------------------------- parser

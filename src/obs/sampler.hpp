@@ -4,10 +4,14 @@
 // Registers one kernel sampler and records a row every N cycles: the
 // configured gauges (queue depth, in-flight jobs, per-OCP busy, bus
 // occupancy — any u64-returning closure) plus any named Stats counters.
-// Like the VCD writer it is passive: samplers run after the commit phase
-// (and for every fast-forwarded cycle), so the simulated clock, memory
-// and Stats are bit-identical with or without a sampler attached — the
-// only cost is host time.
+// It is passive: samplers run after the commit phase (and for every
+// fast-forwarded cycle), so the simulated clock, memory and Stats are
+// bit-identical with or without a sampler attached — the only cost is
+// host time.
+//
+// The rows serialize two ways: ouessant.metrics.v1 JSON (write_json) and
+// a VCD waveform (write_vcd) that GTKWave and friends open directly —
+// the simulation flow the paper validates OCP integration with (§V-B).
 #pragma once
 
 #include <functional>
@@ -67,6 +71,14 @@ class MetricsSampler {
   /// Serialize as ouessant.metrics.v1 JSON (docs/observability.md).
   [[nodiscard]] std::string to_json() const;
   void write_json(const std::string& path) const;
+
+  /// Serialize as a VCD waveform: one `$var` per column in column order
+  /// inside module @p top, `$timescale 20ns` (the 50 MHz system clock).
+  /// The first row dumps every column, later rows only the columns that
+  /// changed. Each column is declared as wide as its largest recorded
+  /// value (at least 1 bit), so no value is ever truncated. Use period 1
+  /// for a cycle-accurate waveform.
+  void write_vcd(const std::string& path, const std::string& top) const;
 
   /// A metrics.v1 file read back: header registry + sample rows.
   struct File {

@@ -47,23 +47,25 @@ UtilizationReport make_report(Soc& soc) {
   return r;
 }
 
-void attach_standard_probes(sim::VcdTrace& trace, Soc& soc, core::Ocp& ocp) {
-  trace.add_signal("bus_busy", 1,
-                   [&soc] { return soc.bus().granted_now() ? 1 : 0; });
-  trace.add_signal("ctrl_pc", 14, [&ocp] { return ocp.controller().pc(); });
-  trace.add_signal("ctrl_state", 3,
-                   [&ocp] { return ocp.controller().state_id(); });
-  trace.add_signal("rac_busy", 1, [&ocp] { return ocp.rac().busy() ? 1 : 0; });
-  trace.add_signal("irq", 1, [&ocp] { return ocp.irq().raised() ? 1 : 0; });
-  trace.add_signal("done", 1, [&ocp] { return ocp.iface().done() ? 1 : 0; });
+void attach_standard_probes(obs::MetricsSampler& sampler, Soc& soc,
+                            core::Ocp& ocp) {
+  sampler.add_gauge("bus_busy",
+                    [&soc] { return soc.bus().granted_now() ? 1 : 0; });
+  sampler.add_gauge("ctrl_pc", [&ocp] { return ocp.controller().pc(); });
+  sampler.add_gauge("ctrl_state",
+                    [&ocp] { return ocp.controller().state_id(); });
+  sampler.add_gauge("rac_busy", [&ocp] { return ocp.rac().busy() ? 1 : 0; });
+  sampler.add_gauge("irq", [&ocp] { return ocp.irq().raised() ? 1 : 0; });
+  sampler.add_gauge("done", [&ocp] { return ocp.iface().done() ? 1 : 0; });
   for (std::size_t i = 0; i < ocp.input_fifos().size(); ++i) {
-    trace.add_signal("fifo_in" + std::to_string(i) + "_level", 16,
-                     [&ocp, i] { return ocp.input_fifos()[i]->level_bits(); });
+    sampler.add_gauge("fifo_in" + std::to_string(i) + "_level", [&ocp, i] {
+      return ocp.input_fifos()[i]->level_bits();
+    });
   }
   for (std::size_t i = 0; i < ocp.output_fifos().size(); ++i) {
-    trace.add_signal(
-        "fifo_out" + std::to_string(i) + "_level", 16,
-        [&ocp, i] { return ocp.output_fifos()[i]->level_bits(); });
+    sampler.add_gauge("fifo_out" + std::to_string(i) + "_level", [&ocp, i] {
+      return ocp.output_fifos()[i]->level_bits();
+    });
   }
 }
 

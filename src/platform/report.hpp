@@ -1,12 +1,13 @@
-// System-level observability: utilization reporting and waveform tracing
+// System-level observability: utilization reporting and waveform probes
 // for a running SoC. Benches print the report; debugging sessions attach
-// the standard VCD probes ("the result was easy to simulate" — §V-B).
+// the standard probes to a period-1 obs::MetricsSampler and export it
+// with write_vcd ("the result was easy to simulate" — §V-B).
 #pragma once
 
 #include <string>
 
+#include "obs/sampler.hpp"
 #include "platform/soc.hpp"
-#include "sim/trace.hpp"
 
 namespace ouessant::platform {
 
@@ -39,9 +40,10 @@ struct UtilizationReport {
 /// Snapshot the SoC's counters into a report.
 [[nodiscard]] UtilizationReport make_report(Soc& soc);
 
-/// Attach the standard probe set for one OCP to a VCD trace: bus
-/// occupancy, controller PC and phase, FIFO levels, RAC busy, IRQ.
-/// Call before the first kernel tick.
-void attach_standard_probes(sim::VcdTrace& trace, Soc& soc, core::Ocp& ocp);
+/// Register the standard probe set for one OCP as gauges on @p sampler:
+/// bus occupancy, controller PC and phase, FIFO levels, RAC busy, IRQ,
+/// done. Call before the first sample is taken.
+void attach_standard_probes(obs::MetricsSampler& sampler, Soc& soc,
+                            core::Ocp& ocp);
 
 }  // namespace ouessant::platform

@@ -144,7 +144,7 @@ class Kernel {
   /// Advance until @p done returns true, or throw SimError after
   /// @p timeout cycles (deadlock guard for tests and drivers).
   ///
-  /// Ordering contract (pinned by tests/test_kernel_gating.cpp):
+  /// Ordering contract (pinned by tests/test_scheduler.cpp):
   ///   1. done() is evaluated first, before any tick and before the
   ///      timeout check — if it already holds on entry, run_until()
   ///      returns without ticking, even with timeout == 0.
@@ -164,8 +164,8 @@ class Kernel {
   [[nodiscard]] Stats& stats() { return stats_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Register a callback sampled after every commit phase (used by the
-  /// trace writer). Returns an id usable with remove_sampler().
+  /// Register a callback sampled after every commit phase (used by
+  /// obs::MetricsSampler). Returns an id usable with remove_sampler().
   u64 add_sampler(std::function<void(Cycle)> fn);
   void remove_sampler(u64 id);
 

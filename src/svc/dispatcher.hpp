@@ -129,7 +129,7 @@ class Dispatcher : public sim::Component {
 
   /// Timed IRQ setup: unmask every attached source at the controller and
   /// enable the per-OCP interrupt in each driver. First timed accesses
-  /// of a run — call after VCD signals are attached, before the loop.
+  /// of a run — call after observers are attached, before the loop.
   void configure_irqs();
 
   /// One service pass: ingest due arrivals, retire completions, dispatch

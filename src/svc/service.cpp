@@ -293,19 +293,6 @@ void OffloadService::build_chains() {
   }
 }
 
-void OffloadService::attach_trace(sim::VcdTrace& trace) {
-  trace.add_signal("svc_queue_depth", 16, [this] {
-    return static_cast<u64>(dispatcher_.queue().size());
-  });
-  trace.add_signal("svc_in_flight", 16,
-                   [this] { return static_cast<u64>(dispatcher_.in_flight()); });
-  for (std::size_t i = 0; i < dispatcher_.worker_count(); ++i) {
-    trace.add_signal("svc_ocp" + std::to_string(i) + "_busy", 1, [this, i] {
-      return static_cast<u64>(dispatcher_.worker_busy(i));
-    });
-  }
-}
-
 void OffloadService::attach_tracer(obs::EventTracer& tracer) {
   soc_.bus().set_tracer(&tracer);
   for (std::size_t i = 0; i < soc_.ocp_count(); ++i) {

@@ -3,10 +3,11 @@
 // their completion interrupts, and the Dispatcher serving a workload.
 //
 // This is the top of DESIGN.md §9: a scenario (or application)
-// constructs an OffloadService, optionally attaches VCD trace signals,
-// then calls run(workload) and reads the ServiceReport. Construction
-// performs NO timed accesses — the first kernel activity happens inside
-// run() — so trace signals can always be registered in between.
+// constructs an OffloadService, optionally attaches an event tracer and
+// a metrics sampler, then calls run(workload) and reads the
+// ServiceReport. Construction performs NO timed accesses — the first
+// kernel activity happens inside run() — so sampler columns can always
+// be registered in between.
 #pragma once
 
 #include <memory>
@@ -21,7 +22,6 @@
 #include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
 #include "platform/soc.hpp"
-#include "sim/trace.hpp"
 #include "svc/dispatcher.hpp"
 #include "svc/latency.hpp"
 #include "svc/slots.hpp"
@@ -136,10 +136,6 @@ struct ServiceReport {
 class OffloadService {
  public:
   explicit OffloadService(ServiceConfig cfg = {});
-
-  /// Register queue-depth / per-worker-busy / in-flight signals. Must be
-  /// called before run() (trace signals must precede the first tick).
-  void attach_trace(sim::VcdTrace& trace);
 
   /// Wire @p tracer through every layer of the stack: dispatcher flows
   /// and job spans, driver session spans, bus transactions, controller

@@ -17,6 +17,7 @@
 #include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
 #include "ouessant/codegen.hpp"
+#include "platform/report.hpp"
 #include "platform/soc.hpp"
 #include "rac/dft.hpp"
 #include "rac/idct.hpp"
@@ -68,8 +69,9 @@ void expect_identical(const RunResult& gated, const RunResult& ungated) {
 /// E1: 8x8 IDCT, 64 words in/out, overlapped streaming, alternating
 /// poll/IRQ completion, idle gap between invocations. With @p traced,
 /// the full observability stack rides along (event tracer through every
-/// layer, a metrics sampler, and a closing CycleLedger proof) — which
-/// must not change a single bit of the RunResult.
+/// layer, a metrics sampler, the standard waveform probes on a period-1
+/// sampler, and a closing CycleLedger proof) — which must not change a
+/// single bit of the RunResult.
 RunResult run_e1_idct(bool gating, bool traced = false) {
   platform::Soc soc;
   soc.kernel().set_gating(gating);
@@ -83,6 +85,7 @@ RunResult run_e1_idct(bool gating, bool traced = false) {
                            .out_words = 64});
   std::unique_ptr<obs::EventTracer> tracer;
   std::unique_ptr<obs::MetricsSampler> metrics;
+  std::unique_ptr<obs::MetricsSampler> probes;
   if (traced) {
     tracer = std::make_unique<obs::EventTracer>(soc.kernel());
     soc.bus().set_tracer(tracer.get());
@@ -91,6 +94,8 @@ RunResult run_e1_idct(bool gating, bool traced = false) {
     session.set_tracer(tracer.get());
     metrics = std::make_unique<obs::MetricsSampler>(soc.kernel(), 32);
     metrics->add_gauge("rac_busy", [&] { return idct.busy() ? 1 : 0; });
+    probes = std::make_unique<obs::MetricsSampler>(soc.kernel(), 1);
+    platform::attach_standard_probes(*probes, soc, ocp);
   }
   session.install(
       core::build_stream_program({.in_words = 64, .out_words = 64,
@@ -112,6 +117,7 @@ RunResult run_e1_idct(bool gating, bool traced = false) {
   if (traced) {
     EXPECT_GT(tracer->event_count(), 0u);
     EXPECT_FALSE(metrics->samples().empty());
+    EXPECT_EQ(probes->samples().size(), soc.kernel().now());
     obs::validate_soc_ledger(soc);
   }
   return r;

@@ -269,7 +269,7 @@ TEST(Sweep, RunCtxThreadsSeedAndTracePath) {
          .run_ctx = [](const exp::ParamMap&, const exp::RunContext& ctx,
                        exp::Result& res) {
            res.add_metric("seed", static_cast<i64>(ctx.seed));
-           res.add_metric("traced", ctx.trace_path.empty() ? 0 : 1);
+           res.add_metric("traced", ctx.trace_events_path.empty() ? 0 : 1);
          }});
 
   // Default: the spec's own seed, no tracing.
@@ -278,14 +278,14 @@ TEST(Sweep, RunCtxThreadsSeedAndTracePath) {
   EXPECT_EQ(outcome.results[0].metrics.get_int("seed"), 7);
   EXPECT_EQ(outcome.results[0].metrics.get_int("traced"), 0);
 
-  // --seed overrides, --trace names one file per grid point.
-  const auto jobs =
-      exp::expand_jobs(r, {.jobs = 1, .seed = 42u, .trace_stem = "tr"});
+  // --seed overrides, --trace-events names one file per grid point.
+  const auto jobs = exp::expand_jobs(
+      r, {.jobs = 1, .seed = 42u, .trace_events_stem = "tr"});
   ASSERT_EQ(jobs.size(), 2u);
   ASSERT_TRUE(jobs[0].seed.has_value());
   EXPECT_EQ(*jobs[0].seed, 42u);
-  EXPECT_EQ(jobs[0].trace_path, "tr_ctx_spec_0.vcd");
-  EXPECT_EQ(jobs[1].trace_path, "tr_ctx_spec_1.vcd");
+  EXPECT_EQ(jobs[0].trace_events_path, "tr_ctx_spec_0.trace.json");
+  EXPECT_EQ(jobs[1].trace_events_path, "tr_ctx_spec_1.trace.json");
 }
 
 TEST(Registry, RequiresExactlyOneRunFunction) {

@@ -1,12 +1,9 @@
-// Unit tests for the simulation kernel, wires, stats, and VCD tracing.
+// Unit tests for the simulation kernel, wires and stats.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "sim/kernel.hpp"
-#include "sim/trace.hpp"
 #include "sim/wire.hpp"
 
 namespace ouessant {
@@ -155,62 +152,6 @@ TEST(Wire, PulseLastsOneCycle) {
   EXPECT_TRUE(p.get());
   p.commit();
   EXPECT_FALSE(p.get());
-}
-
-TEST(Trace, WritesValidVcd) {
-  const std::string path = ::testing::TempDir() + "ouessant_trace_test.vcd";
-  {
-    sim::Kernel k;
-    Counter a(k, "a");
-    sim::VcdTrace trace(k, path);
-    trace.add_signal("count", 8, [&] { return a.value() & 0xFF; });
-    trace.add_signal("bit", 1, [&] { return a.value() & 1; });
-    k.run(4);
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string vcd = ss.str();
-  EXPECT_NE(vcd.find("$enddefinitions"), std::string::npos);
-  EXPECT_NE(vcd.find("$var wire 8"), std::string::npos);
-  EXPECT_NE(vcd.find("#1"), std::string::npos);
-  EXPECT_NE(vcd.find("#4"), std::string::npos);
-  EXPECT_NE(vcd.find("b00000011"), std::string::npos);  // count == 3
-  std::remove(path.c_str());
-}
-
-TEST(Trace, OnlyChangesEmitted) {
-  const std::string path = ::testing::TempDir() + "ouessant_trace_test2.vcd";
-  {
-    sim::Kernel k;
-    Counter a(k, "a");
-    sim::VcdTrace trace(k, path);
-    trace.add_signal("constant", 4, [] { return 7; });
-    k.run(10);
-  }
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string vcd = ss.str();
-  // The constant appears exactly once (initial value).
-  std::size_t occurrences = 0;
-  for (std::size_t pos = vcd.find("b0111");
-       pos != std::string::npos; pos = vcd.find("b0111", pos + 1)) {
-    ++occurrences;
-  }
-  EXPECT_EQ(occurrences, 1u);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, RejectsLateSignalRegistration) {
-  sim::Kernel k;
-  const std::string path = ::testing::TempDir() + "ouessant_trace_test3.vcd";
-  sim::VcdTrace trace(k, path);
-  trace.add_signal("ok", 1, [] { return 0; });
-  k.tick();
-  EXPECT_THROW(trace.add_signal("late", 1, [] { return 0; }), SimError);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 // utilization reporting, waveform probes, and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "bus/monitor.hpp"
 #include "drv/session.hpp"
+#include "obs/sampler.hpp"
 #include "ouessant/codegen.hpp"
 #include "platform/report.hpp"
 #include "platform/soc.hpp"
@@ -157,23 +160,23 @@ TEST(Report, CountsAddUpAfterARun) {
 
 TEST(Probes, StandardVcdProbesCaptureARun) {
   const std::string path = ::testing::TempDir() + "ocp_probes.vcd";
-  {
-    platform::Soc soc;
-    rac::PassthroughRac rac(soc.kernel(), "pass", 16, 32);
-    core::Ocp& ocp = soc.add_ocp(rac);
-    sim::VcdTrace trace(soc.kernel(), path);
-    platform::attach_standard_probes(trace, soc, ocp);
-    drv::OcpSession session(soc.cpu(), soc.sram(), ocp,
-                            {.prog_base = 0x4000'0000,
-                             .in_base = 0x4001'0000,
-                             .out_base = 0x4002'0000,
-                             .in_words = 16,
-                             .out_words = 16});
-    session.install(core::build_stream_program(
-        {.in_words = 16, .out_words = 16, .burst = 16}));
-    session.put_input(std::vector<u32>(16, 9));
-    session.run_poll();
-  }
+  platform::Soc soc;
+  rac::PassthroughRac rac(soc.kernel(), "pass", 16, 32);
+  core::Ocp& ocp = soc.add_ocp(rac);
+  obs::MetricsSampler probes(soc.kernel(), 1);
+  platform::attach_standard_probes(probes, soc, ocp);
+  drv::OcpSession session(soc.cpu(), soc.sram(), ocp,
+                          {.prog_base = 0x4000'0000,
+                           .in_base = 0x4001'0000,
+                           .out_base = 0x4002'0000,
+                           .in_words = 16,
+                           .out_words = 16});
+  session.install(core::build_stream_program(
+      {.in_words = 16, .out_words = 16, .burst = 16}));
+  session.put_input(std::vector<u32>(16, 9));
+  session.run_poll();
+  probes.write_vcd(path, "soc");
+
   std::ifstream in(path);
   std::stringstream ss;
   ss << in.rdbuf();
@@ -181,8 +184,19 @@ TEST(Probes, StandardVcdProbesCaptureARun) {
   EXPECT_NE(vcd.find("ctrl_pc"), std::string::npos);
   EXPECT_NE(vcd.find("fifo_in0_level"), std::string::npos);
   EXPECT_NE(vcd.find("rac_busy"), std::string::npos);
-  // The controller actually moved: some PC change was dumped.
-  EXPECT_NE(vcd.find("b00000000000011"), std::string::npos);  // pc == 3
+  // The controller actually moved: PC 3 was dumped, zero-padded to the
+  // width of the highest PC the run reached.
+  const auto& cols = probes.columns();
+  const auto pc = static_cast<std::size_t>(
+      std::find(cols.begin(), cols.end(), "ctrl_pc") - cols.begin());
+  u64 peak = 0;
+  for (const auto& row : probes.samples()) {
+    peak = std::max(peak, row.values[pc]);
+  }
+  ASSERT_GE(peak, 3u);
+  const std::string three =
+      "b" + std::string(std::bit_width(peak) - 2, '0') + "11 ";
+  EXPECT_NE(vcd.find(three), std::string::npos);
   std::remove(path.c_str());
 }
 
