@@ -39,6 +39,7 @@
 #include "util/fixed.hpp"
 #include "util/rng.hpp"
 #include "util/transforms.hpp"
+#include "traced_run.hpp"
 
 namespace ouessant::scenarios {
 namespace {
@@ -255,11 +256,13 @@ void run_service(const exp::ParamMap& params, const exp::RunContext& ctx,
   wl.kinds = {svc::JobKind::kJpegChain};
   wl.seed = ctx.seed;
   svc::OffloadService service(std::move(cfg));
+  const TracedRun traced(service, ctx.trace_events_path);
   const svc::ServiceReport rep = service.run(wl);
   rep.add_to(result);
   std::vector<const fifo::ChainLink*> links;
   for (const auto& l : service.chain_links()) links.push_back(l.get());
   obs::validate_soc_ledger(service.soc(), links);
+  traced.finish(result);
   if (rep.completed + rep.rejected != rep.jobs) {
     result.fail("service lost jobs");
   }

@@ -28,6 +28,7 @@
 #include "fault/plan.hpp"
 #include "svc/ledger.hpp"
 #include "svc/service.hpp"
+#include "traced_run.hpp"
 
 namespace ouessant::scenarios {
 namespace {
@@ -47,10 +48,12 @@ void serve_faulty_point(svc::ServiceConfig cfg, svc::WorkloadConfig wl,
     cfg.faults = fault::FaultPlan::parse(ctx.faults);
   }
   svc::OffloadService service(std::move(cfg));
+  const TracedRun traced(service, ctx.trace_events_path);
   wl.seed = ctx.seed;
   const svc::ServiceReport rep = service.run(wl);
   rep.add_to(result);
   (void)svc::validate_service_ledger(service);
+  traced.finish(result);
   if (rep.completed + rep.rejected + rep.failed != rep.jobs) {
     result.fail("job conservation broken: completed " +
                 std::to_string(rep.completed) + " + rejected " +

@@ -1,5 +1,5 @@
 // --trace-events wiring shared by the service-level families (serve_*,
-// DPRF): an EventTracer through every layer of the stack plus a
+// serve_faulty_*, chain_service, DPRF): an EventTracer through every layer of the stack plus a
 // period-64 MetricsSampler of the service's standard gauges.
 #pragma once
 

@@ -92,10 +92,13 @@ void Soc::restore(const snap::Snapshot& snap) {
         "differently shaped SoC)");
   }
 
+  // The memory is decoded and checked first but installed last, so a
+  // malformed image never leaves it half restored.
+  mem::Sram::SavedState sram = sram_->read_state(r);
   kernel_.restore_from(snap);
-  sram_->restore_state(r);
   cpu_->restore_state(r);
   r.expect_end();
+  sram_->adopt(std::move(sram));
 }
 
 }  // namespace ouessant::platform

@@ -1,6 +1,9 @@
 #include "snap/state.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <limits>
 
 namespace ouessant::snap {
 
@@ -23,6 +26,9 @@ const char* tag_name(Tag t) {
 
 constexpr u32 kLiteralBit = 0x8000'0000u;
 constexpr u32 kMaxBlockWords = 0x7fff'ffffu;
+/// Page shift of the one-page view of a std::vector: any index below
+/// 2^63 maps to page 0.
+constexpr unsigned kOnePageShift = std::numeric_limits<std::size_t>::digits - 1;
 
 }  // namespace
 
@@ -83,8 +89,42 @@ void StateWriter::write_string(std::string_view name, std::string_view v) {
 
 void StateWriter::write_words32(std::string_view name,
                                 const std::vector<u32>& v) {
+  // One page big enough for any vector: every index shifts to page 0.
+  const u32* const page = v.data();
+  write_words32(name, PagedWords{.pages = {&page, 1},
+                                 .page_shift = kOnePageShift,
+                                 .count = v.size()});
+}
+
+void StateWriter::write_words32(std::string_view name, const PagedWords& v) {
   field(Tag::kWords32, name);
-  raw_u32(static_cast<u32>(v.size()));
+  raw_u32(static_cast<u32>(v.count));
+  const std::size_t count = v.count;
+  const std::size_t mask = (std::size_t{1} << v.page_shift) - 1;
+  auto page = [&](std::size_t i) { return v.pages[i >> v.page_shift]; };
+  auto word = [&](std::size_t i) {
+    const u32* p = page(i);
+    return p != nullptr ? p[i & mask] : 0u;
+  };
+  // Length of the run of equal words starting at i, capped at one
+  // block. A null page extends a zero run by a whole page at once.
+  auto run_from = [&](std::size_t i) {
+    const u32 value = word(i);
+    const std::size_t limit = std::min(count, i + kMaxBlockWords);
+    std::size_t j = i + 1;
+    while (j < limit) {
+      const std::size_t end = std::min((j | mask) + 1, limit);
+      const u32* p = page(j);
+      if (p == nullptr) {
+        if (value != 0) break;
+        j = end;
+        continue;
+      }
+      while (j < end && p[j & mask] == value) ++j;
+      if (j < end) break;
+    }
+    return j - i;
+  };
   // Greedy RLE: runs of >= 4 equal words become a run block, everything
   // between them a literal block. The 4-word threshold keeps a literal
   // stream from degenerating into per-word blocks.
@@ -95,27 +135,23 @@ void StateWriter::write_words32(std::string_view name,
     while (b < end) {
       const std::size_t n = std::min<std::size_t>(end - b, kMaxBlockWords);
       raw_u32(kLiteralBit | static_cast<u32>(n));
-      for (std::size_t k = 0; k < n; ++k) raw_u32(v[b + k]);
+      for (std::size_t k = b; k < b + n; ++k) raw_u32(word(k));
       b += n;
     }
   };
-  while (i < v.size()) {
-    std::size_t run = 1;
-    while (i + run < v.size() && v[i + run] == v[i] &&
-           run < kMaxBlockWords) {
-      ++run;
-    }
+  while (i < count) {
+    const std::size_t run = run_from(i);
     if (run >= 4) {
       flush_literal(i);
       raw_u32(static_cast<u32>(run));
-      raw_u32(v[i]);
+      raw_u32(word(i));
       i += run;
       lit_begin = i;
     } else {
       i += run;
     }
   }
-  flush_literal(v.size());
+  flush_literal(count);
 }
 
 void StateWriter::write_words64(std::string_view name,
@@ -226,25 +262,57 @@ std::string StateReader::read_string(std::string_view name) {
 }
 
 std::vector<u32> StateReader::read_words32(std::string_view name) {
+  struct VectorSink final : WordSink {
+    StateReader* reader;
+    std::vector<u32> v;
+    explicit VectorSink(StateReader* r) : reader(r) {}
+    void begin(u32 count) override {
+      if (count > kMaxVectorWords) {
+        reader->fail("words32 field holds " + std::to_string(count) +
+                     " words, more than the " +
+                     std::to_string(kMaxVectorWords) + " a vector accepts");
+      }
+      v.reserve(count);
+    }
+    void run(std::size_t, u32 n, u32 value) override {
+      v.insert(v.end(), n, value);
+    }
+    void literal(std::size_t, std::span<const u32> words) override {
+      v.insert(v.end(), words.begin(), words.end());
+    }
+  } sink(this);
+  read_words32(name, sink);
+  return std::move(sink.v);
+}
+
+void StateReader::read_words32(std::string_view name, WordSink& sink) {
   expect_field(Tag::kWords32, name);
   const u32 count = raw_u32();
-  std::vector<u32> v;
-  v.reserve(count);
-  while (v.size() < count) {
+  sink.begin(count);
+  // Literal words reach the sink in chunks of at most this many.
+  std::array<u32, 256> chunk{};
+  std::size_t at = 0;
+  while (at < count) {
     const u32 block = raw_u32();
     if ((block & kLiteralBit) != 0) {
       const u32 n = block & kMaxBlockWords;
-      if (v.size() + n > count) fail("RLE literal overruns word count");
-      for (u32 k = 0; k < n; ++k) v.push_back(raw_u32());
+      if (at + n > count) fail("RLE literal overruns word count");
+      need(static_cast<std::size_t>(n) * 4);
+      for (u32 done = 0; done < n;) {
+        const u32 m = std::min<u32>(n - done, chunk.size());
+        for (u32 k = 0; k < m; ++k) chunk[k] = raw_u32();
+        sink.literal(at + done, {chunk.data(), m});
+        done += m;
+      }
+      at += n;
     } else {
-      if (block == 0 || v.size() + block > count) {
+      if (block == 0 || at + block > count) {
         fail("RLE run overruns word count");
       }
-      const u32 value = raw_u32();
-      v.insert(v.end(), block, value);
+      sink.run(at, block, raw_u32());
+      at += block;
     }
   }
-  return v;
 }
 
 std::vector<u64> StateReader::read_words64(std::string_view name) {

@@ -24,9 +24,17 @@
 // value follows, repeated n times. Blocks concatenate until `count`
 // words are produced. Memories are mostly zero or mostly repetitive, so
 // this keeps SRAM sections proportional to touched data.
+//
+// One encoder core and one decoder core handle every words32 field. The
+// encoder reads a PagedWords view, in which a null page stands for a
+// page of zeros and costs O(1); the std::vector form is a view of one
+// page. The decoder hands each block to a WordSink; the std::vector form
+// is a sink capped at kMaxVectorWords, so a crafted word count cannot
+// make it allocate more than that.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,6 +66,34 @@ enum class Tag : u8 {
   kBytes = 9,
 };
 
+/// Largest words32 field the std::vector form of
+/// StateReader::read_words32 accepts. Real vector fields (job payloads,
+/// FIFO storage, bus burst data, decode caches) hold at most a few
+/// thousand words; memories decode through their own WordSink instead.
+inline constexpr u32 kMaxVectorWords = 1u << 20;
+
+/// A words32 field as the encoder reads it: `count` words held in pages
+/// of 2^page_shift words each, page k covering words
+/// [k << page_shift, (k + 1) << page_shift). A null page holds only
+/// zeros.
+struct PagedWords {
+  std::span<const u32* const> pages;
+  unsigned page_shift = 0;
+  std::size_t count = 0;
+};
+
+/// Receives a words32 field as the decoder walks it: begin() gets the
+/// saved word count before anything else is decoded (throw to reject
+/// it), then run() and literal() get each block in order. @p at is the
+/// index of the block's first word; blocks never overrun the count.
+class WordSink {
+ public:
+  virtual ~WordSink() = default;
+  virtual void begin(u32 count) = 0;
+  virtual void run(std::size_t at, u32 n, u32 value) = 0;
+  virtual void literal(std::size_t at, std::span<const u32> words) = 0;
+};
+
 /// Builds one component's byte stream, field by field.
 class StateWriter {
  public:
@@ -68,6 +104,7 @@ class StateWriter {
   void write_double(std::string_view name, double v);
   void write_string(std::string_view name, std::string_view v);
   void write_words32(std::string_view name, const std::vector<u32>& v);
+  void write_words32(std::string_view name, const PagedWords& v);
   void write_words64(std::string_view name, const std::vector<u64>& v);
   void write_bytes(std::string_view name, const std::vector<u8>& v);
 
@@ -96,7 +133,10 @@ class StateReader {
   u64 read_u64(std::string_view name);
   double read_double(std::string_view name);
   std::string read_string(std::string_view name);
+  /// Throws SnapshotError, before allocating, on a count above
+  /// kMaxVectorWords.
   std::vector<u32> read_words32(std::string_view name);
+  void read_words32(std::string_view name, WordSink& sink);
   std::vector<u64> read_words64(std::string_view name);
   std::vector<u8> read_bytes(std::string_view name);
 

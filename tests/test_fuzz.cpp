@@ -6,8 +6,16 @@
 // Text-input fuzzing: seeded mutations of every text format the stack
 // reads (trace, metrics and SLO files, fault specs, Ouessant and L3
 // microcode) must either parse and round-trip or raise a typed error.
+//
+// Snapshot fuzzing: seeded, structure-aware mutations of a SoC image's
+// "soc" section (the SRAM field's word count, block headers and payload
+// bits, plus truncation), resealed with a fresh CRC so that the section
+// reader and not the CRC check is what gets tested. Every mutant must
+// restore or throw SnapshotError, and a rejected one leaves the SRAM as
+// it was.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <typeinfo>
@@ -24,6 +32,7 @@
 #include "ouessant/emulator.hpp"
 #include "platform/soc.hpp"
 #include "rac/passthrough.hpp"
+#include "snap/snapshot.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
 
@@ -444,6 +453,142 @@ TEST(TextFuzz, AwkwardNamesSurviveEveryWriterAndReader) {
     EXPECT_EQ(back.classes[0].name, name);
     EXPECT_EQ(back.to_json(), rep.to_json());
   }
+}
+
+// ---------------------------------------------------------------------
+// Snapshot fuzzing
+
+u32 get_u32(const std::vector<u8>& b, std::size_t at) {
+  u32 v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<u32>(b[at + i]) << (8 * i);
+  return v;
+}
+
+void put_u32(std::vector<u8>& b, std::size_t at, u32 v) {
+  for (int i = 0; i < 4; ++i) b[at + i] = static_cast<u8>(v >> (8 * i));
+}
+
+/// Byte offsets of the SRAM's words32 "data" field in a soc section.
+struct SramField {
+  std::size_t count = 0;             ///< the u32 word count
+  std::vector<std::size_t> headers;  ///< each block's u32 header
+  std::vector<std::size_t> payload;  ///< each payload word
+};
+
+SramField locate_sram_field(const std::vector<u8>& sec) {
+  const std::vector<u8> head = {7, 4, 'd', 'a', 't', 'a'};  // tag, name
+  const auto it = std::search(sec.begin(), sec.end(), head.begin(), head.end());
+  EXPECT_NE(it, sec.end());
+  SramField f;
+  f.count = static_cast<std::size_t>(it - sec.begin()) + head.size();
+  const u32 count = get_u32(sec, f.count);
+  std::size_t pos = f.count + 4;
+  for (u64 words = 0; words < count;) {
+    const u32 block = get_u32(sec, pos);
+    f.headers.push_back(pos);
+    pos += 4;
+    const bool literal = (block & 0x8000'0000u) != 0;
+    const u32 n = block & 0x7fff'ffffu;
+    for (u32 k = 0; k < (literal ? n : 1); ++k, pos += 4) {
+      f.payload.push_back(pos);
+    }
+    words += n;
+  }
+  return f;
+}
+
+/// One structure-aware mutant of @p sec.
+std::vector<u8> mutate_soc_section(util::Rng& rng, std::vector<u8> sec,
+                                   const SramField& f) {
+  auto any_of = [&](std::initializer_list<u32> vs) {
+    return *(vs.begin() + rng.below(static_cast<u32>(vs.size())));
+  };
+  switch (rng.below(5)) {
+    case 0: {  // the word count
+      const u32 c = get_u32(sec, f.count);
+      put_u32(sec, f.count,
+              any_of({c - 1, c + 1, 0, 0x7fff'ffffu, 0xffff'ffffu,
+                      rng.next_u32()}));
+      break;
+    }
+    case 1: {  // a block header
+      const std::size_t at = f.headers[rng.below(
+          static_cast<u32>(f.headers.size()))];
+      const u32 h = get_u32(sec, at);
+      put_u32(sec, at,
+              any_of({h ^ 0x8000'0000u, h + 1, h - 1, 0, 0x8000'0000u,
+                      0x7fff'ffffu, 0xffff'ffffu, rng.next_u32()}));
+      break;
+    }
+    case 2:  // truncation
+      sec.resize(rng.below(static_cast<u32>(sec.size())));
+      break;
+    case 3: {  // one bit of a literal or run payload word
+      const std::size_t at = f.payload[rng.below(
+          static_cast<u32>(f.payload.size()))];
+      sec[at + rng.below(4)] ^= static_cast<u8>(1u << rng.below(8));
+      break;
+    }
+    default: {  // one bit anywhere from the count to the section's end
+      const std::size_t at =
+          f.count + rng.below(static_cast<u32>(sec.size() - f.count));
+      sec[at] ^= static_cast<u8>(1u << rng.below(8));
+    }
+  }
+  return sec;
+}
+
+/// The SRAM's counters and contents as bytes.
+std::vector<u8> sram_state(const mem::Sram& m) {
+  snap::StateWriter w;
+  m.save_state(w);
+  return w.take();
+}
+
+TEST(SnapFuzz, MutatedSocSectionRestoresOrRejectsUntouched) {
+  platform::Soc src;
+  util::Rng fill(11);
+  for (u32 i = 0; i < 3000; ++i) {  // literals across page edges
+    src.sram().poke(kBank1 + 0xf00 + i * 4, fill.below(4));
+  }
+  for (u32 i = 0; i < 2048; ++i) src.sram().poke(kBank2 + i * 4, 0xc0de);
+  src.sram().poke(kProg + (16u << 20) - 4, 1);  // the last word
+  src.cpu().spend(100);
+  const snap::Snapshot image = src.snapshot();
+  const std::vector<u8>& soc = image.section("soc").bytes;
+  const SramField field = locate_sram_field(soc);
+  ASSERT_GT(field.headers.size(), 3u);
+
+  platform::Soc target;
+  target.sram().load(kBank1, {5, 6, 7, 8, 9});
+  (void)target.sram().read_word(kBank1);
+  util::Rng rng(0x5a4f);
+  int restored = 0;
+  int rejected = 0;
+  for (int i = 0; i < 600; ++i) {
+    const std::vector<u8> mutant = mutate_soc_section(rng, soc, field);
+    snap::Snapshot m;
+    for (const snap::Section& s : image.sections()) {
+      m.add(s.name, s.version, s.name == "soc" ? mutant : s.bytes);
+    }
+    const snap::Snapshot sealed = snap::Snapshot::deserialize(m.serialize());
+    const std::vector<u8> before = sram_state(target.sram());
+    const std::size_t pages = target.sram().resident_pages();
+    try {
+      target.restore(sealed);
+      ++restored;
+    } catch (const snap::SnapshotError&) {
+      ++rejected;
+      EXPECT_EQ(sram_state(target.sram()), before) << "case " << i;
+      EXPECT_EQ(target.sram().resident_pages(), pages) << "case " << i;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << i << ": untyped " << typeid(e).name()
+                    << ": " << e.what();
+    }
+  }
+  // The stream reaches both outcomes.
+  EXPECT_GT(restored, 50);
+  EXPECT_GT(rejected, 300);
 }
 
 }  // namespace

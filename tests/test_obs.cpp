@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -262,6 +263,37 @@ INSTANTIATE_TEST_SUITE_P(
                       "e6_overlap", "e7_dpr", "e8_bus", "e9_jpeg",
                       "e10_latency", "e10_overlap", "e11_l3",
                       "e12_contention", "serve_mixed"),
+    [](const auto& info) { return std::string(info.param); });
+
+// ---------------------------------------------------------------------
+// --trace-events reaches every service-level family: each one's first
+// grid point writes the event trace and its metrics time-series.
+
+class TracedFamilies : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(TracedFamilies, WriteTraceAndMetrics) {
+  exp::Registry reg;
+  scenarios::register_all_scenarios(reg);
+  const exp::ScenarioSpec* spec = reg.find(GetParam());
+  ASSERT_NE(spec, nullptr) << GetParam();
+  const std::string path =
+      ::testing::TempDir() + GetParam() + "_traced.trace.json";
+  std::remove(path.c_str());
+  std::remove((path + ".metrics.json").c_str());
+  const exp::Result r = exp::run_job(
+      {.spec = spec, .params = spec->points()[0], .trace_events_path = path});
+  ASSERT_TRUE(r.ok) << r.error;
+  const obs::ParsedTrace trace = obs::read_trace(path);
+  EXPECT_FALSE(trace.events.empty());
+  const obs::MetricsSampler::File metrics =
+      obs::read_metrics(path + ".metrics.json");
+  EXPECT_FALSE(metrics.samples.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServiceFamilies, TracedFamilies,
+    ::testing::Values("serve_mixed", "serve_faulty_rate", "serve_faulty_hang",
+                      "serve_faulty_irq", "chain_service"),
     [](const auto& info) { return std::string(info.param); });
 
 // ---------------------------------------------------------------------
