@@ -25,7 +25,6 @@
 #include <utility>
 
 #include "obs/collect.hpp"
-#include "snap/snapshot.hpp"
 #include "svc/service.hpp"
 #include "traced_run.hpp"
 
@@ -40,24 +39,7 @@ void serve_point(svc::ServiceConfig cfg, svc::WorkloadConfig wl,
                  const exp::RunContext& ctx, exp::Result& result) {
   svc::OffloadService service(std::move(cfg));
   const TracedRun traced(service, ctx.trace_events_path);
-  wl.seed = ctx.seed;
-  svc::ServiceReport rep;
-  if (!ctx.restore_path.empty()) {
-    // Warm boot: resident microcode, IRQ masks and caches come from the
-    // snapshot; only this run's counters start at zero. The snapshot
-    // must have been taken from the same service configuration
-    // (restore validates the fingerprint and throws otherwise).
-    service.restore(snap::Snapshot::load_file(ctx.restore_path));
-    service.begin(wl, /*warm=*/true);
-    while (!service.step()) {
-    }
-    rep = service.finish();
-  } else {
-    rep = service.run(wl);
-  }
-  if (!ctx.snapshot_path.empty()) {
-    service.snapshot().save_file(ctx.snapshot_path);
-  }
+  const svc::ServiceReport rep = serve_with_snapshots(service, wl, ctx);
   rep.add_to(result);
   obs::validate_soc_ledger(service.soc());
   traced.finish(result);

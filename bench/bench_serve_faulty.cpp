@@ -49,8 +49,7 @@ void serve_faulty_point(svc::ServiceConfig cfg, svc::WorkloadConfig wl,
   }
   svc::OffloadService service(std::move(cfg));
   const TracedRun traced(service, ctx.trace_events_path);
-  wl.seed = ctx.seed;
-  const svc::ServiceReport rep = service.run(wl);
+  const svc::ServiceReport rep = serve_with_snapshots(service, wl, ctx);
   rep.add_to(result);
   (void)svc::validate_service_ledger(service);
   traced.finish(result);

@@ -77,9 +77,10 @@ RunSnapshot run_once(const std::string& trace_path) {
   RunSnapshot snap;
   snap.cycles = service.soc().kernel().now();
   snap.stats = service.soc().kernel().stats().all();
-  // The published speed counters are allowed to differ: an attached
-  // tracer forces the per-beat bus path, so batched_chunks drops to
-  // zero by design. Everything else must be bit-identical.
+  // The published speed counters are allowed to differ: the traced
+  // run's metrics sampler reads per-cycle state, which forces the
+  // per-beat bus path, so batched_chunks drops to zero by design.
+  // Everything else must be bit-identical.
   for (auto it = snap.stats.begin(); it != snap.stats.end();) {
     const std::string& key = it->first;
     const bool speed_counter = key.ends_with(".batched_chunks") ||

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "snap/snapshot.hpp"
+
 namespace ouessant::scenarios {
 namespace {
 
@@ -26,6 +28,26 @@ void TracedRun::finish(exp::Result& result) const {
   tracer_->write_json(path_);
   metrics_->write_json(path_ + ".metrics.json");
   result.add_metric("trace_events", static_cast<u64>(tracer_->event_count()));
+}
+
+svc::ServiceReport serve_with_snapshots(svc::OffloadService& service,
+                                        svc::WorkloadConfig wl,
+                                        const exp::RunContext& ctx) {
+  wl.seed = ctx.seed;
+  svc::ServiceReport rep;
+  if (!ctx.restore_path.empty()) {
+    service.restore(snap::Snapshot::load_file(ctx.restore_path));
+    service.begin(wl, /*warm=*/true);
+    while (!service.step()) {
+    }
+    rep = service.finish();
+  } else {
+    rep = service.run(wl);
+  }
+  if (!ctx.snapshot_path.empty()) {
+    service.snapshot().save_file(ctx.snapshot_path);
+  }
+  return rep;
 }
 
 }  // namespace ouessant::scenarios

@@ -4,12 +4,12 @@
 #   2. the docs gate (scripts/check_docs.sh): every src/ subdir is in
 #      docs/architecture.md, every ouessant_bench flag is documented in
 #      EXPERIMENTS.md, every path the docs reference exists
-#   3. the golden stage: every committed row of BENCH_serve.json,
+#   3. the golden stage: one full `ouessant_bench --jobs $(nproc)` sweep,
+#      and every committed row of BENCH_sweep.json, BENCH_serve.json,
 #      BENCH_chain.json, BENCH_dpr.json, BENCH_fleet.json and
-#      BENCH_speed.json must equal a fresh `ouessant_bench --filter
-#      <family>` run metric for metric, except a named list of host
-#      wall-clock keys — a change to a simulated result re-records its
-#      file in the same change. For sim_speed that pins the deterministic
+#      BENCH_speed.json must equal that run metric for metric, except a
+#      named list of host wall-clock keys — a change to a simulated
+#      result re-records its file in the same change. For sim_speed that pins the deterministic
 #      fast-path engagement counts (batched bus chunks, decode-cache
 #      hits/misses, on and off), so a fast path that stops engaging fails
 #      here on any host; its cycles/sec figures are host time and exempt.
@@ -66,13 +66,12 @@ echo "==== tier-1: docs consistency gate ===="
 scripts/check_docs.sh build/bench/ouessant_bench
 
 echo "==== tier-1: committed BENCH goldens ===="
-for rec in serve:BENCH_serve.json CHAIN:BENCH_chain.json \
-           DPRF:BENCH_dpr.json FLEET:BENCH_fleet.json \
-           sim_speed:BENCH_speed.json; do
-  family="${rec%%:*}" file="${rec#*:}"
-  ./build/bench/ouessant_bench --filter "${family}" \
-    --json "build/bench/golden_${file}" > /dev/null
-  python3 - "${file}" "build/bench/golden_${file}" <<'EOF'
+# One full sweep feeds every golden: the sweep record itself plus the
+# five per-family files, each checked against the same fresh run.
+./build/bench/ouessant_bench --jobs "$(nproc)" \
+  --json build/bench/golden_sweep.json > /dev/null
+python3 - build/bench/golden_sweep.json BENCH_sweep.json BENCH_serve.json \
+  BENCH_chain.json BENCH_dpr.json BENCH_fleet.json BENCH_speed.json <<'EOF'
 import json, sys
 # Host wall-clock metrics: the only keys allowed to differ run to run.
 HOST_TIME_KEYS = {"cold_boot_ms", "fork_ms_per_shard", "warmboot_speedup"}
@@ -82,23 +81,28 @@ SIM_SPEED_HOST_KEYS = {"opt_cps", "base_cps", "speedup"}
 def rows(path):
     return {(r["scenario"], json.dumps(r["params"], sort_keys=True)):
             r["metrics"] for r in json.load(open(path))["results"]}
-committed, fresh = rows(sys.argv[1]), rows(sys.argv[2])
-bad = []
-for key, want in committed.items():
-    got = fresh.get(key)
-    if got is None:
-        bad.append(f"{key}: row missing from the fresh run")
-        continue
-    host = HOST_TIME_KEYS | (SIM_SPEED_HOST_KEYS
-                             if key[0] == "sim_speed" else set())
-    for m in sorted((set(want) | set(got)) - host):
-        if want.get(m) != got.get(m):
-            bad.append(f"{key} {m}: committed {want.get(m)} fresh {got.get(m)}")
-if bad:
-    sys.exit(f"golden guard: {sys.argv[1]} is stale:\n  " + "\n  ".join(bad))
-print(f"  {sys.argv[1]}: {len(committed)} rows match")
+fresh = rows(sys.argv[1])
+stale = []
+for path in sys.argv[2:]:
+    committed, bad = rows(path), []
+    for key, want in committed.items():
+        got = fresh.get(key)
+        if got is None:
+            bad.append(f"{key}: row missing from the fresh run")
+            continue
+        host = HOST_TIME_KEYS | (SIM_SPEED_HOST_KEYS
+                                 if key[0] == "sim_speed" else set())
+        for m in sorted((set(want) | set(got)) - host):
+            if want.get(m) != got.get(m):
+                bad.append(f"{key} {m}: committed {want.get(m)} "
+                           f"fresh {got.get(m)}")
+    if bad:
+        stale.append(f"{path} is stale:\n  " + "\n  ".join(bad))
+    else:
+        print(f"  {path}: {len(committed)} rows match")
+if stale:
+    sys.exit("golden guard: " + "\ngolden guard: ".join(stale))
 EOF
-done
 echo "golden guard OK"
 
 echo "==== tier-1: ASan+UBSan build + ctest ===="

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "snap/state.hpp"
 
@@ -56,13 +57,9 @@ BusSlave& InterconnectModel::decode(Addr addr) const {
   for (const auto& m : map_) {
     if (addr >= m.base && addr - m.base < m.size) return *m.slave;
   }
-  throw SimError(name() + ": bus error (no slave at 0x" +
-                 [addr] {
-                   char buf[16];
-                   std::snprintf(buf, sizeof buf, "%08X", addr);
-                   return std::string(buf);
-                 }() +
-                 ")");
+  char hex[16];
+  std::snprintf(hex, sizeof hex, "%08X", addr);
+  throw SimError(name() + ": bus error (no slave at 0x" + hex + ")");
 }
 
 bool InterconnectModel::is_mapped(Addr addr) const {
@@ -95,6 +92,8 @@ BusMasterPort* InterconnectModel::select_master() {
 void InterconnectModel::set_tracer(obs::EventTracer* tracer) {
   tracer_ = tracer;
   if (tracer_ != nullptr) track_ = tracer_->track("bus." + name());
+  // Records opened under a previous tracer would close with stale counts.
+  for (auto& m : masters_) m->txn_.beats = 0;
 }
 
 MasterStats InterconnectModel::master_totals() const {
@@ -107,18 +106,6 @@ MasterStats InterconnectModel::master_totals() const {
     total.grant_cycles += m->stats().grant_cycles;
   }
   return total;
-}
-
-void InterconnectModel::note_txn_wait(BusMasterPort& m) {
-  if (!logging_ && tracer_ == nullptr) return;
-  auto it = open_.find(&m);
-  if (it != open_.end()) ++it->second.waits;
-}
-
-void InterconnectModel::note_txn_stall(BusMasterPort& m) {
-  if (!logging_ && tracer_ == nullptr) return;
-  auto it = open_.find(&m);
-  if (it != open_.end()) ++it->second.stalls;
 }
 
 bool InterconnectModel::is_quiescent() const {
@@ -151,15 +138,12 @@ void InterconnectModel::tick_compute() {
     }
     grant_addr_cycles_left_ = cfg_.address_phase_cycles;
     grant_beats_left_ = std::min(cfg_.max_beats_per_grant, granted_->beats_);
-    if ((logging_ || tracer_ != nullptr) &&
-        open_.find(granted_) == open_.end()) {
-      // First grant for this transaction: open a log record.
-      open_[granted_] = TxnRecord{.start = kernel().now(),
-                                  .end = 0,
-                                  .master = granted_->name(),
-                                  .addr = granted_->addr_,
-                                  .write = granted_->write_,
-                                  .beats = granted_->beats_};
+    if (tracer_ != nullptr && granted_->txn_.beats == 0) {
+      // First grant for this transaction: open its record.
+      granted_->txn_ = TxnRecord{.start = kernel().now(),
+                                 .master = {},
+                                 .addr = granted_->addr_,
+                                 .beats = granted_->beats_};
     }
     if (try_batch_chunk()) return;
   }
@@ -175,7 +159,7 @@ void InterconnectModel::tick_compute() {
   if (wait_left_ > 0) {
     --wait_left_;
     ++m.stats_.wait_cycles;
-    note_txn_wait(m);
+    note_txn(m, 1, 0);
     if (wait_left_ == 0 && beat_in_flight_) {
       complete_beat(inflight_data_);
     }
@@ -190,8 +174,11 @@ void InterconnectModel::tick_compute() {
   if (fault_hook_ != nullptr &&
       fault_hook_->beat_error(m.name_, m.addr_, m.write_, kernel().now())) {
     ++m.stats_.wait_cycles;
-    note_txn_wait(m);
-    error_response(m);
+    note_txn(m, 1, 0);
+    m.faulted_ = true;
+    m.sink_ = nullptr;
+    m.source_ = nullptr;
+    end_txn(m, /*ok=*/false);
     return;
   }
 
@@ -204,7 +191,7 @@ void InterconnectModel::tick_compute() {
       if (m.source_ != nullptr) {
         if (!m.source_->beat_ready()) {
           ++m.stats_.stall_cycles;
-          note_txn_stall(m);
+          note_txn(m, 0, 1);
           return;
         }
         data = m.source_->take_beat();
@@ -222,7 +209,7 @@ void InterconnectModel::tick_compute() {
     } else {
       if (m.sink_ != nullptr && !m.sink_->beat_space()) {
         ++m.stats_.stall_cycles;
-        note_txn_stall(m);
+        note_txn(m, 0, 1);
         return;
       }
       const SlaveResponse resp = decode(m.addr_).read_word(m.addr_);
@@ -235,28 +222,27 @@ void InterconnectModel::tick_compute() {
       }
     }
   } catch (...) {
-    m.active_ = false;
-    granted_ = nullptr;
-    wait_left_ = 0;
-    beat_in_flight_ = false;
-    open_.erase(&m);
-    if (m.completion_waiter_ != nullptr) m.completion_waiter_->wake();
+    end_txn(m, /*ok=*/false);
     throw;
   }
 }
 
 bool InterconnectModel::try_batch_chunk() {
-  // Observers see per-beat state: any armed instrument keeps the
-  // per-beat loop (passivity discipline — instrumented runs may differ
-  // in host behavior, unarmed runs stay bit-identical either way).
-  if (!batching_enabled_ || logging_ || tracer_ != nullptr ||
-      fault_hook_ != nullptr || !snoopers_.empty()) {
+  // Only what acts on each beat or cycle keeps the per-beat loop. The
+  // tracer is not here: it records per-transaction facts (start, end,
+  // beats, waits), which a window settles exactly as the loop would.
+  //  * batching off: the per-beat reference for differential checks;
+  //  * kernel gating off: the window sleeps the bus to its last cycle;
+  //  * a zero-cycle address phase: cost >= 2 below needs one, so the
+  //    window's final tick is strictly after the grant tick;
+  //  * the fault hook: consulted per beat with that beat's cycle;
+  //  * write snoopers: cache coherence observes every write beat;
+  //  * kernel samplers: they read per-cycle state a window skips.
+  if (!batching_enabled_ || !kernel().gating() ||
+      cfg_.address_phase_cycles == 0 || fault_hook_ != nullptr ||
+      !snoopers_.empty() || kernel().has_samplers()) {
     return false;
   }
-  if (!kernel().gating() || kernel().has_samplers()) return false;
-  // cost >= 2 below needs at least one address-phase cycle, so the
-  // window's final tick is strictly after the grant tick.
-  if (cfg_.address_phase_cycles == 0) return false;
   BusMasterPort& m = *granted_;
   const u32 chunk = grant_beats_left_;
   // Every beat of the chunk must decode into one slave mapping — a hole
@@ -332,9 +318,23 @@ bool InterconnectModel::try_batch_chunk() {
 }
 
 void InterconnectModel::finish_batch() {
-  batch_active_ = false;
   next_expected_tick_ = kernel().now() + 1;
   BusMasterPort& m = *granted_;
+  settle_window(m);
+  if (batch_error_ != nullptr) {
+    // Replay the per-beat loop's catch on the very cycle the per-beat
+    // slave access would throw.
+    const std::exception_ptr err = std::exchange(batch_error_, nullptr);
+    end_txn(m, /*ok=*/false);
+    std::rethrow_exception(err);
+  }
+  after_beats(m);
+}
+
+void InterconnectModel::settle_window(BusMasterPort& m) {
+  // Apply the window's deferred per-master accounting: one address
+  // phase, its beats and their wait states (a window never stalls).
+  batch_active_ = false;
   m.stats_.grant_cycles += cfg_.address_phase_cycles;
   m.stats_.wait_cycles += batch_waits_;
   m.stats_.beats += batch_beats_;
@@ -343,29 +343,7 @@ void InterconnectModel::finish_batch() {
   m.addr_ += 4u * batch_beats_;
   m.beats_ -= batch_beats_;
   grant_beats_left_ -= batch_beats_;
-  if (batch_error_ != nullptr) {
-    // Replay the per-beat loop's catch: deactivate, release, wake, and
-    // re-raise on the very cycle the per-beat slave access would throw.
-    std::exception_ptr err = batch_error_;
-    batch_error_ = nullptr;
-    m.active_ = false;
-    granted_ = nullptr;
-    wait_left_ = 0;
-    beat_in_flight_ = false;
-    open_.erase(&m);
-    if (m.completion_waiter_ != nullptr) m.completion_waiter_->wake();
-    std::rethrow_exception(err);
-  }
-  if (m.beats_ == 0) {
-    m.active_ = false;
-    if (m.completion_waiter_ != nullptr) m.completion_waiter_->wake();
-    ++m.stats_.transactions;
-    kernel().stats().add(m.h_transactions_);
-    granted_ = nullptr;
-  } else if (grant_beats_left_ == 0) {
-    // Burst split: release and re-arbitrate next cycle, as per-beat does.
-    granted_ = nullptr;
-  }
+  note_txn(m, static_cast<u32>(batch_waits_), 0);
 }
 
 void InterconnectModel::save_state(snap::StateWriter& w) const {
@@ -467,10 +445,8 @@ void InterconnectModel::restore_state(snap::StateReader& r) {
     m.rdata_ = r.read_words32("rdata");
     // Cleared here; the issuing controller's restore_state runs later in
     // the component walk and reattaches when its transfer is streamed.
-    const bool had_sink = r.read_bool("has_sink");
-    const bool had_source = r.read_bool("has_source");
-    (void)had_sink;
-    (void)had_source;
+    (void)r.read_bool("has_sink");
+    (void)r.read_bool("has_source");
     m.sink_ = nullptr;
     m.source_ = nullptr;
     m.stats_.transactions = r.read_u64("txns");
@@ -487,39 +463,13 @@ void InterconnectModel::restore_state(snap::StateReader& r) {
     throw snap::SnapshotError(name() + ": granted master index " +
                               std::to_string(granted_idx) + " out of range");
   }
-  // Host telemetry (log_, open_, tracer, snoopers) is not snapshot
-  // state: a restored bus starts with an empty transaction log.
-  open_.clear();
+  // Host telemetry (open records, tracer, snoopers) is not snapshot
+  // state: a restored bus starts with no open record.
+  for (auto& mp : masters_) mp->txn_.beats = 0;
   // Re-arm the batch window's end-of-window tick; restore_from()
   // replaces the wake heap afterwards, but a direct restore_state()
   // round-trip in tests must stay self-consistent too.
   if (batch_active_) wake_at(batch_end_);
-}
-
-void InterconnectModel::error_response(BusMasterPort& m) {
-  m.active_ = false;
-  m.faulted_ = true;
-  m.sink_ = nullptr;
-  m.source_ = nullptr;
-  if (logging_ || tracer_ != nullptr) {
-    auto it = open_.find(&m);
-    if (it != open_.end()) {
-      it->second.end = kernel().now();
-      if (tracer_ != nullptr) {
-        const TxnRecord& r = it->second;
-        tracer_->complete(
-            track_, "err", r.start, r.end,
-            {obs::arg("master", r.master), obs::arg("addr", u64{r.addr}),
-             obs::arg("beats", u64{r.beats})});
-      }
-      if (logging_) log_.push_back(it->second);
-      open_.erase(it);
-    }
-  }
-  granted_ = nullptr;
-  wait_left_ = 0;
-  beat_in_flight_ = false;
-  if (m.completion_waiter_ != nullptr) m.completion_waiter_->wake();
 }
 
 void InterconnectModel::abort_master(BusMasterPort& m) {
@@ -532,26 +482,41 @@ void InterconnectModel::abort_master(BusMasterPort& m) {
       // arrive over this very bus). Defensively settle the window's
       // already-executed beats before dropping the grant, so the
       // per-master stats never lose accesses the slaves did see.
-      batch_active_ = false;
-      m.stats_.grant_cycles += cfg_.address_phase_cycles;
-      m.stats_.wait_cycles += batch_waits_;
-      m.stats_.beats += batch_beats_;
-      if (batch_beats_ > 0) kernel().stats().add(m.h_beats_, batch_beats_);
-      if (m.write_ && m.source_ == nullptr) m.wdata_index_ += batch_beats_;
-      m.addr_ += 4u * batch_beats_;
-      m.beats_ -= batch_beats_;
+      settle_window(m);
       batch_error_ = nullptr;
     }
-    granted_ = nullptr;
     grant_addr_cycles_left_ = 0;
-    wait_left_ = 0;
-    beat_in_flight_ = false;
   }
-  m.active_ = false;
   m.faulted_ = false;
   m.sink_ = nullptr;
   m.source_ = nullptr;
-  open_.erase(&m);
+  end_txn(m, /*ok=*/false);
+}
+
+void InterconnectModel::end_txn(BusMasterPort& m, bool ok) {
+  // The one end of every transaction: completion (ok), and ERROR
+  // response, slave exception or abort (not ok).
+  m.active_ = false;
+  if (ok) {
+    ++m.stats_.transactions;
+    kernel().stats().add(m.h_transactions_);
+  }
+  if (tracer_ != nullptr && m.txn_.beats != 0) {
+    const TxnRecord& t = m.txn_;
+    std::vector<obs::Arg> args{
+        obs::arg("master", m.name_), obs::arg("addr", u64{t.addr}),
+        obs::arg("beats", u64{t.beats}), obs::arg("waits", u64{t.waits}),
+        obs::arg("stalls", u64{t.stalls})};
+    if (!ok) args.push_back(obs::arg("write", u64{m.write_}));
+    tracer_->complete(track_, ok ? (m.write_ ? "wr" : "rd") : "err", t.start,
+                      kernel().now(), std::move(args));
+    m.txn_.beats = 0;
+  }
+  if (granted_ == &m) {
+    granted_ = nullptr;
+    wait_left_ = 0;
+    beat_in_flight_ = false;
+  }
   if (m.completion_waiter_ != nullptr) m.completion_waiter_->wake();
 }
 
@@ -580,29 +545,12 @@ void InterconnectModel::complete_beat(u32 data) {
   --grant_beats_left_;
   wait_left_ = 0;
   beat_in_flight_ = false;
+  after_beats(m);
+}
 
+void InterconnectModel::after_beats(BusMasterPort& m) {
   if (m.beats_ == 0) {
-    m.active_ = false;
-    if (m.completion_waiter_ != nullptr) m.completion_waiter_->wake();
-    ++m.stats_.transactions;
-    kernel().stats().add(m.h_transactions_);
-    if (logging_ || tracer_ != nullptr) {
-      auto it = open_.find(&m);
-      if (it != open_.end()) {
-        it->second.end = kernel().now();
-        if (tracer_ != nullptr) {
-          const TxnRecord& r = it->second;
-          tracer_->complete(
-              track_, r.write ? "wr" : "rd", r.start, r.end,
-              {obs::arg("master", r.master), obs::arg("addr", u64{r.addr}),
-               obs::arg("beats", u64{r.beats}), obs::arg("waits", u64{r.waits}),
-               obs::arg("stalls", u64{r.stalls})});
-        }
-        if (logging_) log_.push_back(it->second);
-        open_.erase(it);
-      }
-    }
-    granted_ = nullptr;
+    end_txn(m, /*ok=*/true);
   } else if (grant_beats_left_ == 0) {
     // Burst split / per-beat protocols: release and re-arbitrate.
     granted_ = nullptr;

@@ -13,7 +13,6 @@
 
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,18 +34,6 @@ struct BusTimingConfig {
   u32 address_phase_cycles = 1;  ///< overhead per grant
   u32 max_beats_per_grant = 256; ///< burst split threshold (1 => no bursts)
   Arbitration arbitration = Arbitration::kFixedPriority;
-};
-
-/// One entry of the transaction log (used by tests and the monitor).
-struct TxnRecord {
-  Cycle start = 0;
-  Cycle end = 0;
-  std::string master;
-  Addr addr = 0;
-  bool write = false;
-  u32 beats = 0;
-  u32 waits = 0;   ///< slave wait states inside this transaction
-  u32 stalls = 0;  ///< master stalls inside this transaction
 };
 
 class InterconnectModel : public sim::Component {
@@ -102,15 +89,11 @@ class InterconnectModel : public sim::Component {
     snoopers_.push_back(std::move(fn));
   }
 
-  /// Enable/disable transaction logging (off by default).
-  void set_logging(bool on) { logging_ = on; }
-  [[nodiscard]] const std::vector<TxnRecord>& log() const { return log_; }
-  void clear_log() { log_.clear(); }
-
-  /// Attach (or detach, nullptr) an event tracer. Every completed
-  /// transaction is then emitted as one span ("wr"/"rd") on a track
-  /// named "bus.<name>", annotated with master, address, beat count and
-  /// the wait-state/stall cycles it absorbed.
+  /// Attach (or detach, nullptr) an event tracer. Every transaction is
+  /// then emitted as one span on track "bus.<name>" — "wr"/"rd", or "err"
+  /// (plus a "write" arg) when it ended early — with master, address,
+  /// beat count and the wait-state/stall cycles it absorbed. It is the
+  /// bus's only per-transaction record (bus::txn_log reads it back).
   void set_tracer(obs::EventTracer* tracer);
 
   /// Attach (or detach, nullptr) a fault hook, consulted once per data
@@ -133,8 +116,8 @@ class InterconnectModel : public sim::Component {
   [[nodiscard]] MasterStats master_totals() const;
 
   /// Batched burst windows on/off (default: on). When on, a grant whose
-  /// chunk has no observer armed — no transaction log, tracer, fault
-  /// hook, write snooper, or kernel sampler — and whose beats all decode
+  /// chunk has no per-beat observer armed — no fault hook, write
+  /// snooper, or kernel sampler — and whose beats all decode
   /// into one slave mapping (with any streamed endpoint promising the
   /// whole chunk stall-free, see BeatSource::bulk_ready) is completed as
   /// ONE event: the slave accesses run eagerly at the grant tick, the
@@ -146,7 +129,7 @@ class InterconnectModel : public sim::Component {
   [[nodiscard]] bool batching() const { return batching_enabled_; }
 
   /// Grant chunks completed through the batched fast path (diagnostics;
-  /// tests assert 0 here to prove an armed observer forced per-beat
+  /// tests assert 0 here to prove a per-beat observer forced per-beat
   /// ticking, and > 0 to prove batching engaged).
   [[nodiscard]] u64 batched_chunks() const { return batched_chunks_; }
 
@@ -160,10 +143,16 @@ class InterconnectModel : public sim::Component {
   BusMasterPort* select_master();
   bool try_batch_chunk();
   void finish_batch();
+  void settle_window(BusMasterPort& m);
   void complete_beat(u32 data);
-  void error_response(BusMasterPort& m);
-  void note_txn_wait(BusMasterPort& m);
-  void note_txn_stall(BusMasterPort& m);
+  void after_beats(BusMasterPort& m);
+  void end_txn(BusMasterPort& m, bool ok);
+  /// Charge wait/stall cycles to @p m's open record (traced runs only).
+  void note_txn(BusMasterPort& m, u32 waits, u32 stalls) {
+    if (tracer_ == nullptr || m.txn_.beats == 0) return;
+    m.txn_.waits += waits;
+    m.txn_.stalls += stalls;
+  }
   [[nodiscard]] u64 pending_idle_credit() const {
     const Cycle now = kernel().now();
     return now > next_expected_tick_ ? now - next_expected_tick_ : 0;
@@ -187,9 +176,6 @@ class InterconnectModel : public sim::Component {
   fault::BusFaultHook* fault_hook_ = nullptr;
   obs::EventTracer* tracer_ = nullptr;
   obs::TrackId track_ = 0;
-  bool logging_ = false;
-  std::map<BusMasterPort*, TxnRecord> open_;  // in-flight logged txns
-  std::vector<TxnRecord> log_;
   u64 busy_cycles_ = 0;
   u64 idle_cycles_ = 0;
   Cycle next_expected_tick_ = 0;  // sleep-credit anchor for idle_cycles_

@@ -1,9 +1,38 @@
 #include "bus/monitor.hpp"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
 namespace ouessant::bus {
+
+std::vector<TxnRecord> txn_log(const obs::EventTracer& tracer,
+                               const InterconnectModel& bus) {
+  const std::vector<std::string>& tracks = tracer.track_names();
+  const auto track =
+      std::find(tracks.begin(), tracks.end(), "bus." + bus.name());
+  std::vector<TxnRecord> log;
+  if (track == tracks.end()) return log;
+  const auto tid = static_cast<obs::TrackId>(track - tracks.begin());
+  for (const obs::EventTracer::Event& e : tracer.events()) {
+    if (e.ph != 'X' || e.tid != tid) continue;
+    TxnRecord t;
+    t.start = e.ts;
+    t.end = e.ts + e.dur;
+    t.write = e.name == "wr";
+    t.error = e.name == "err";
+    for (const obs::Arg& a : e.args) {
+      if (a.key == "master") t.master = a.s;
+      if (a.key == "addr") t.addr = static_cast<Addr>(a.u);
+      if (a.key == "beats") t.beats = static_cast<u32>(a.u);
+      if (a.key == "waits") t.waits = static_cast<u32>(a.u);
+      if (a.key == "stalls") t.stalls = static_cast<u32>(a.u);
+      if (a.key == "write") t.write = a.u != 0;
+    }
+    log.push_back(std::move(t));
+  }
+  return log;
+}
 
 MonitorReport check_log(const std::vector<TxnRecord>& log,
                         const BusTimingConfig& timing) {
@@ -23,6 +52,7 @@ MonitorReport check_log(const std::vector<TxnRecord>& log,
     if (t.addr % 4 != 0) fail(id.str() + ": unaligned address");
     if (t.beats == 0) fail(id.str() + ": zero-length burst");
     if (t.end < t.start) fail(id.str() + ": ends before it starts");
+    if (t.error) continue;
 
     // Minimum cycles: one address phase per grant chunk + one per beat.
     const u32 grants =
@@ -47,7 +77,7 @@ std::string render_log(const std::vector<TxnRecord>& log) {
   for (const auto& t : log) {
     os << '[' << t.start << ".." << t.end << "] " << t.master << ' '
        << (t.write ? 'W' : 'R') << " 0x" << std::hex << t.addr << std::dec
-       << " x" << t.beats << '\n';
+       << " x" << t.beats << (t.error ? " ERR" : "") << '\n';
   }
   return os.str();
 }

@@ -97,6 +97,20 @@ class BeatSink {
   }
 };
 
+/// One bus transaction: the open record a traced master port keeps, and
+/// what bus::txn_log reads back from the tracer's "bus.<name>" spans.
+struct TxnRecord {
+  Cycle start = 0;
+  Cycle end = 0;
+  std::string master;
+  Addr addr = 0;
+  bool write = false;
+  u32 beats = 0;
+  u32 waits = 0;   ///< slave wait states inside this transaction
+  u32 stalls = 0;  ///< master stalls inside this transaction
+  bool error = false;  ///< ended early: ERROR response, exception, abort
+};
+
 /// Statistics a master port accumulates over its lifetime.
 struct MasterStats {
   u64 transactions = 0;
@@ -218,6 +232,11 @@ class BusMasterPort {
   std::vector<u32> rdata_;
   BeatSink* sink_ = nullptr;
   BeatSource* source_ = nullptr;
+
+  // The open transaction's record (beats == 0: none open), kept only
+  // while the interconnect has a tracer attached: host telemetry, never
+  // written to a snapshot.
+  TxnRecord txn_;
 
   MasterStats stats_;
 };

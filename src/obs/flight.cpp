@@ -1,5 +1,7 @@
 #include "obs/flight.hpp"
 
+#include <algorithm>
+
 namespace ouessant::obs {
 
 FlightRecorder::FlightRecorder(sim::Kernel& kernel, std::size_t capacity)
@@ -69,33 +71,31 @@ void FlightRecorder::save_state(snap::StateWriter& w) const {
 }
 
 void FlightRecorder::restore_state(snap::StateReader& r) {
+  // Decode and check the whole image before mutating anything: a ring
+  // cursor or event count past the capacity would make record() write
+  // out of bounds.
   const u64 cap = r.read_u64("capacity");
   if (cap != capacity_) {
     throw snap::SnapshotError(
         "FlightRecorder: snapshot capacity does not match target recorder");
   }
-  next_ = static_cast<std::size_t>(r.read_u64("next"));
-  dropped_ = r.read_u64("dropped");
-  triggered_ = r.read_bool("triggered");
-  reason_ = r.read_string("reason");
-  trigger_cycle_ = r.read_u64("trigger_cycle");
+  const u64 next = r.read_u64("next");
+  const u64 dropped = r.read_u64("dropped");
+  const bool triggered = r.read_bool("triggered");
+  std::string reason = r.read_string("reason");
+  const Cycle trigger_cycle = r.read_u64("trigger_cycle");
   snap::StateReader inner(r.read_bytes("ring"), "obs.flight");
-  // Tracks were interned eagerly when the stack attached this recorder
-  // (same-stack restore rule), in the same deterministic order the
-  // saved stack used — verify the interning agrees, re-interning any
-  // tail the target has not reached yet.
   const u64 ntracks = inner.read_u64("tracks");
-  for (u64 i = 0; i < ntracks; ++i) {
-    const std::string name = inner.read_string("t");
-    if (track(name) != static_cast<TrackId>(i)) {
-      throw snap::SnapshotError(
-          "FlightRecorder: track interning order mismatch on restore (was "
-          "the recorder attached to a different stack?)");
-    }
-  }
+  std::vector<std::string> tracks;
+  for (u64 i = 0; i < ntracks; ++i) tracks.push_back(inner.read_string("t"));
   const u64 nevents = inner.read_u64("events");
-  events_.clear();
-  events_.reserve(capacity_);
+  if (nevents > capacity_ || next >= capacity_ ||
+      (next != 0 && nevents < capacity_)) {
+    throw snap::SnapshotError(
+        "FlightRecorder: ring cursor or event count out of range");
+  }
+  std::vector<Event> events;
+  events.reserve(capacity_);
   for (u64 i = 0; i < nevents; ++i) {
     Event e;
     e.ph = static_cast<char>(inner.read_u8("ph"));
@@ -113,9 +113,31 @@ void FlightRecorder::restore_state(snap::StateReader& r) {
       ar.s = inner.read_string("s");
       e.args.push_back(std::move(ar));
     }
-    events_.push_back(std::move(e));
+    events.push_back(std::move(e));
   }
   inner.expect_end();
+  // Tracks were interned eagerly when the stack attached this recorder
+  // (same-stack restore rule), in the same deterministic order the
+  // saved stack used — verify the interning agrees and the names are
+  // distinct, then re-intern any tail the target has not reached yet.
+  const std::vector<std::string>& have = track_names();
+  for (std::size_t i = 0; i < tracks.size(); ++i) {
+    const auto seen = tracks.begin() + static_cast<std::ptrdiff_t>(i);
+    if ((i < have.size() && have[i] != tracks[i]) ||
+        std::find(tracks.begin(), seen, tracks[i]) != seen) {
+      throw snap::SnapshotError(
+          "FlightRecorder: track interning order mismatch on restore (was "
+          "the recorder attached to a different stack?)");
+    }
+  }
+  for (const std::string& name : tracks) (void)track(name);
+
+  next_ = static_cast<std::size_t>(next);
+  dropped_ = dropped;
+  triggered_ = triggered;
+  reason_ = std::move(reason);
+  trigger_cycle_ = trigger_cycle;
+  events_ = std::move(events);
 }
 
 }  // namespace ouessant::obs

@@ -335,7 +335,6 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
 
   const u32 stat_count = r.read_u32("stat_count");
   std::vector<std::pair<std::string, u64>> counters;
-  counters.reserve(stat_count);
   for (u32 i = 0; i < stat_count; ++i) {
     std::string key = r.read_string("stat");
     const u64 value = r.read_u64("value");
@@ -364,7 +363,6 @@ void Kernel::restore_from(const snap::Snapshot& snap) {
 
   const u32 timer_count = r.read_u32("timer_count");
   std::vector<std::pair<Cycle, Component*>> timers;
-  timers.reserve(timer_count);
   for (u32 i = 0; i < timer_count; ++i) {
     const Cycle due = r.read_u64("due");
     const std::string name = r.read_string("component");

@@ -293,13 +293,17 @@ void OffloadService::build_chains() {
   }
 }
 
-void OffloadService::attach_tracer(obs::EventTracer& tracer) {
+void OffloadService::wire_hardware(obs::EventTracer& tracer) {
   soc_.bus().set_tracer(&tracer);
   for (std::size_t i = 0; i < soc_.ocp_count(); ++i) {
     soc_.ocp(i).controller().set_tracer(&tracer);
     soc_.ocp(i).rac().set_tracer(&tracer);
   }
   if (icap_ != nullptr) icap_->set_tracer(&tracer);
+}
+
+void OffloadService::attach_tracer(obs::EventTracer& tracer) {
+  wire_hardware(tracer);
   // Last, so the scheduler/job/worker tracks land after the hardware
   // ones and the per-session "drv.*" tracks get wired too.
   dispatcher_.set_tracer(&tracer);
@@ -331,11 +335,7 @@ void OffloadService::attach_profiler(obs::SamplingProfiler& prof) {
 }
 
 void OffloadService::attach_flight_recorder(obs::FlightRecorder& flight) {
-  for (std::size_t i = 0; i < soc_.ocp_count(); ++i) {
-    soc_.ocp(i).controller().set_tracer(&flight);
-    soc_.ocp(i).rac().set_tracer(&flight);
-  }
-  if (icap_ != nullptr) icap_->set_tracer(&flight);
+  wire_hardware(flight);
   dispatcher_.set_flight_recorder(&flight);
   flight_ = &flight;
 }

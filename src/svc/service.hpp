@@ -153,14 +153,14 @@ class OffloadService {
   /// arming is passive — sim clocks are bit-identical either way.
   void attach_profiler(obs::SamplingProfiler& prof);
 
-  /// Arm the flight recorder: the hardware layers (controllers, RACs,
-  /// ICAP) stream full-fidelity events into @p flight's bounded ring,
-  /// and the dispatcher latches a trigger on quarantine / watchdog
+  /// Arm the flight recorder: the hardware layers (bus, controllers,
+  /// RACs, ICAP) stream full-fidelity events into @p flight's bounded
+  /// ring, and the dispatcher latches a trigger on quarantine / watchdog
   /// faults so the owning layer knows to dump the ring post-mortem.
-  /// The bus is deliberately NOT wired (a bus tracer turns off the
-  /// batched-window fast path; the ring must stay affordable on every
-  /// shard). Snapshot-carried: the "svc" section records the ring so a
-  /// warm-booted clone resumes with its template's recent history.
+  /// The bus's transaction spans ride its batched windows, so the ring
+  /// costs each shard memory, not its fast path. Snapshot-carried: the
+  /// "svc" section records the ring so a warm-booted clone resumes with
+  /// its template's recent history.
   void attach_flight_recorder(obs::FlightRecorder& flight);
 
   /// Toggle raw latency-sample retention in the ServiceReport (default
@@ -239,6 +239,9 @@ class OffloadService {
 
  private:
   void validate(const WorkloadConfig& workload) const;
+  /// Wire @p tracer into the hardware layers: bus, every OCP's
+  /// controller and RAC, and the ICAP.
+  void wire_hardware(obs::EventTracer& tracer);
   void install_completion_hook();
   void build_slot_farm();
   void build_chains();

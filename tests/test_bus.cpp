@@ -5,6 +5,7 @@
 #include "bus/interconnect.hpp"
 #include "bus/monitor.hpp"
 #include "mem/sram.hpp"
+#include "obs/tracer.hpp"
 #include "sim/kernel.hpp"
 
 namespace ouessant {
@@ -159,25 +160,48 @@ TEST_F(BusFixture, StreamedRead) {
 }
 
 TEST_F(BusFixture, TransactionLogAndMonitor) {
-  ahb.set_logging(true);
+  // The tracer's spans are the bus's transaction log, and tracing rides
+  // the batched windows, so the monitor checks the fast path here.
+  obs::EventTracer tracer(kernel);
+  ahb.set_tracer(&tracer);
   auto& m = ahb.connect_master("m");
   m.start_write(0x4000'0000, {1, 2, 3});
   complete(m);
   m.start_read(0x4000'0000, 2);
   complete(m);
-  ASSERT_EQ(ahb.log().size(), 2u);
-  EXPECT_TRUE(ahb.log()[0].write);
-  EXPECT_EQ(ahb.log()[0].beats, 3u);
-  EXPECT_FALSE(ahb.log()[1].write);
+  EXPECT_GT(ahb.batched_chunks(), 0u);
+  const std::vector<bus::TxnRecord> log = bus::txn_log(tracer, ahb);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_TRUE(log[0].write);
+  EXPECT_EQ(log[0].beats, 3u);
+  EXPECT_EQ(log[0].master, "m");
+  EXPECT_FALSE(log[1].write);
 
-  const auto report = bus::check_log(ahb.log(), ahb.timing());
+  const auto report = bus::check_log(log, ahb.timing());
   EXPECT_TRUE(report.ok) << [&] {
     std::string all;
     for (const auto& v : report.violations) all += v + "\n";
     return all;
   }();
-  EXPECT_NE(bus::render_log(ahb.log()).find("W 0x40000000 x3"),
-            std::string::npos);
+  EXPECT_NE(bus::render_log(log).find("W 0x40000000 x3"), std::string::npos);
+}
+
+TEST_F(BusFixture, ErrorSpanCarriesDirection) {
+  // A decode hole mid-burst ends the transaction with a slave exception:
+  // it is logged as an "err" span that still knows its direction.
+  obs::EventTracer tracer(kernel);
+  ahb.set_tracer(&tracer);
+  auto& m = ahb.connect_master("m");
+  m.start_write(0x4000'0000 + 64 * 1024 - 8, {1, 2, 3});
+  EXPECT_THROW(complete(m), SimError);
+  EXPECT_FALSE(m.busy());
+  const std::vector<bus::TxnRecord> log = bus::txn_log(tracer, ahb);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_TRUE(log[0].error);
+  EXPECT_TRUE(log[0].write);
+  EXPECT_EQ(log[0].beats, 3u);
+  EXPECT_TRUE(bus::check_log(log, ahb.timing()).ok);
+  EXPECT_NE(bus::render_log(log).find("ERR"), std::string::npos);
 }
 
 TEST(Monitor, FlagsBadRecords) {

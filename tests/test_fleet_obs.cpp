@@ -357,6 +357,66 @@ TEST(Flight, SnapshotRoundTripPreservesRingAndTrigger) {
   EXPECT_THROW(small.restore_state(r3), snap::SnapshotError);
 }
 
+/// A hand-built flight image: ring cursor @p next, @p events spans on
+/// one track "t", everything else zero.
+std::vector<u8> flight_image(u64 capacity, u64 next, u64 events) {
+  snap::StateWriter inner;
+  inner.write_u64("tracks", 1);
+  inner.write_string("t", "t");
+  inner.write_u64("events", events);
+  for (u64 i = 0; i < events; ++i) {
+    inner.write_u8("ph", static_cast<u8>('X'));
+    inner.write_u32("tid", 0);
+    inner.write_u64("ts", i);
+    inner.write_u64("dur", 1);
+    inner.write_u64("flow", 0);
+    inner.write_string("name", "ev" + std::to_string(i));
+    inner.write_u64("nargs", 0);
+  }
+  snap::StateWriter w;
+  w.write_u64("capacity", capacity);
+  w.write_u64("next", next);
+  w.write_u64("dropped", 0);
+  w.write_bool("triggered", false);
+  w.write_string("reason", "");
+  w.write_u64("trigger_cycle", 0);
+  w.write_bytes("ring", inner.take());
+  return w.take();
+}
+
+TEST(Flight, RestoreRejectsRingCursorAndCountOutOfRange) {
+  struct Case {
+    u64 next;
+    u64 events;
+  };
+  // Cursor past a full ring, cursor equal to capacity, more events than
+  // capacity, and a nonzero cursor on a ring that is not full.
+  for (const Case c : {Case{1'000'000, 4}, Case{4, 4}, Case{0, 5},
+                       Case{2, 3}}) {
+    sim::Kernel kernel;
+    obs::FlightRecorder flight(kernel, 4);
+    const obs::TrackId t = flight.track("t");
+    flight.complete(t, "before", 0, 1);
+    const std::string before = flight.to_json();
+    snap::StateReader r(flight_image(4, c.next, c.events), "flight-test");
+    EXPECT_THROW(flight.restore_state(r), snap::SnapshotError)
+        << "next=" << c.next << " events=" << c.events;
+    // Rejected before anything changed, and the ring still works.
+    EXPECT_EQ(flight.to_json(), before);
+    flight.complete(t, "after", 1, 2);
+    EXPECT_EQ(flight.event_count(), 2u);
+  }
+  // A full ring with an in-range cursor restores and keeps recording.
+  sim::Kernel kernel;
+  obs::FlightRecorder flight(kernel, 4);
+  snap::StateReader r(flight_image(4, 3, 4), "flight-test");
+  flight.restore_state(r);
+  flight.complete(flight.track("t"), "next", 9, 10);
+  const obs::ParsedTrace trace = obs::parse_trace(flight.to_json());
+  ASSERT_EQ(trace.events.size(), 4u);
+  EXPECT_EQ(trace.events.back().name, "next");
+}
+
 // -------------------------------------------------------------- fleet
 
 fleet::FleetConfig small_fleet(u32 shards) {

@@ -591,5 +591,29 @@ TEST(SnapFuzz, MutatedSocSectionRestoresOrRejectsUntouched) {
   EXPECT_GT(rejected, 300);
 }
 
+TEST(SnapFuzz, HugeKernelCountsAreTypedErrors) {
+  // A count read from the image must never size an allocation: the
+  // reads past the section's end are what reject it.
+  platform::Soc src;
+  src.cpu().spend(100);
+  const snap::Snapshot image = src.snapshot();
+  for (const std::string field : {"stat_count", "timer_count"}) {
+    std::vector<u8> kernel = image.section("kernel").bytes;
+    std::vector<u8> head = {3, static_cast<u8>(field.size())};  // kU32
+    head.insert(head.end(), field.begin(), field.end());
+    const auto it =
+        std::search(kernel.begin(), kernel.end(), head.begin(), head.end());
+    ASSERT_NE(it, kernel.end()) << field;
+    put_u32(kernel, static_cast<std::size_t>(it - kernel.begin()) + head.size(),
+            0xffff'ffffu);
+    snap::Snapshot m;
+    for (const snap::Section& s : image.sections()) {
+      m.add(s.name, s.version, s.name == "kernel" ? kernel : s.bytes);
+    }
+    platform::Soc target;
+    EXPECT_THROW(target.restore(m), snap::SnapshotError) << field;
+  }
+}
+
 }  // namespace
 }  // namespace ouessant

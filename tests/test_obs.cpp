@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -294,6 +295,40 @@ INSTANTIATE_TEST_SUITE_P(
     ServiceFamilies, TracedFamilies,
     ::testing::Values("serve_mixed", "serve_faulty_rate", "serve_faulty_hang",
                       "serve_faulty_irq", "chain_service"),
+    [](const auto& info) { return std::string(info.param); });
+
+// --snapshot / --restore reach both service families: a run saves
+// "<stem>_<scenario>_0.snap", and a second run warm-boots from it.
+class SnapshotFamilies : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SnapshotFamilies, SnapshotThenRestoreRuns) {
+  exp::Registry reg;
+  scenarios::register_all_scenarios(reg);
+  const std::string name = GetParam();
+  exp::SweepOptions opts;
+  opts.filter = name;
+  opts.snapshot_stem = ::testing::TempDir() + "snapfam";
+  const std::string file = opts.snapshot_stem + "_" + name + "_0.snap";
+  std::remove(file.c_str());
+  const std::vector<exp::SweepJob> cold = exp::expand_jobs(reg, opts);
+  ASSERT_FALSE(cold.empty());
+  ASSERT_EQ(cold.front().spec->name, name);
+  const exp::Result saved = exp::run_job(cold.front());
+  ASSERT_TRUE(saved.ok) << saved.error;
+  ASSERT_TRUE(std::ifstream(file).good()) << file;
+
+  opts.snapshot_stem.clear();
+  opts.restore_path = file;
+  const exp::Result warm = exp::run_job(exp::expand_jobs(reg, opts).front());
+  ASSERT_TRUE(warm.ok) << warm.error;
+  // The warm stack inherits the resident microcode: no reinstall.
+  EXPECT_LT(warm.metrics.get_int("installs"),
+            saved.metrics.get_int("installs"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServiceFamilies, SnapshotFamilies,
+    ::testing::Values("serve_mixed", "serve_faulty_irq"),
     [](const auto& info) { return std::string(info.param); });
 
 // ---------------------------------------------------------------------

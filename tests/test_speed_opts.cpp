@@ -5,10 +5,12 @@
 // — to the same run with them forced off (bus::set_batching(false),
 // Controller::set_decode_cache(false)).
 //
-// The second half proves the safety fallback: arming any observer that
-// watches individual beats (event tracer, beat logging, bus fault hook,
-// write snooper, kernel sampler) must silently disable the batched fast
-// path — batched_chunks() stays 0 — without changing the results.
+// The second half covers observers. The event tracer reads only
+// per-transaction facts, so it rides the batched windows: its trace must
+// be byte-identical with batching on and off. An observer that acts on
+// each beat or cycle (bus fault hook, write snooper, kernel sampler)
+// must silently disable the batched fast path — batched_chunks() stays
+// 0 — without changing the results.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -23,19 +25,20 @@
 #include "ouessant/codegen.hpp"
 #include "platform/soc.hpp"
 #include "rac/idct.hpp"
+#include "svc/service.hpp"
 #include "util/fixed.hpp"
 #include "util/rng.hpp"
 
 namespace ouessant {
 namespace {
 
-/// Per-run knobs under test plus the optional beat-observers whose mere
-/// presence must force the per-beat path.
+/// Per-run knobs under test plus the optional observers: the tracer,
+/// which must ride the batched path, and the per-beat observers whose
+/// mere presence must force the per-beat path.
 struct Config {
   bool batching = true;
   bool decode_cache = true;
   bool tracer = false;
-  bool logging = false;
   bool fault_hook = false;
   bool snooper = false;
   bool sampler = false;
@@ -48,6 +51,7 @@ struct RunResult {
   u64 batched_chunks = 0;
   u64 decode_hits = 0;
   std::size_t awake_at_end = 0;
+  std::string trace_json;  ///< EventTracer::to_json(), when traced
 };
 
 /// The published speed counters legitimately differ between the on/off
@@ -92,7 +96,6 @@ std::unique_ptr<obs::EventTracer> arm(platform::Soc& soc, const Config& cfg,
     tracer = std::make_unique<obs::EventTracer>(soc.kernel());
     soc.bus().set_tracer(tracer.get());
   }
-  if (cfg.logging) soc.bus().set_logging(true);
   if (cfg.fault_hook) soc.bus().set_fault_hook(&hook);
   if (cfg.snooper) {
     soc.bus().add_write_snooper(
@@ -140,6 +143,37 @@ RunResult run_dma_copy(const Config& cfg) {
   r.stats = soc.kernel().stats().all();
   r.batched_chunks = soc.bus().batched_chunks();
   r.awake_at_end = soc.kernel().awake_count();
+  if (tracer != nullptr) r.trace_json = tracer->to_json();
+  return r;
+}
+
+/// A traced multi-kind service: IDCT, DFT and FIR workers plus one
+/// linked dequant->IDCT chain under open-loop load, the tracer wired
+/// through every layer (bus, controllers, RACs, dispatcher, sessions).
+RunResult run_traced_service(bool batching) {
+  svc::ServiceConfig cfg;
+  cfg.ocps = {svc::OcpSpec{.kind = svc::JobKind::kIdct, .max_batch = 2},
+              svc::OcpSpec{.kind = svc::JobKind::kDft, .max_batch = 1},
+              svc::OcpSpec{.kind = svc::JobKind::kFir, .max_batch = 1}};
+  cfg.chains = {svc::ChainSpec{.max_batch = 2}};
+  cfg.queue_depth = 128;
+  svc::OffloadService service(std::move(cfg));
+  service.soc().bus().set_batching(batching);
+  obs::EventTracer tracer(service.soc().kernel());
+  service.attach_tracer(tracer);
+  svc::WorkloadConfig wl;
+  wl.jobs = 80;
+  wl.mean_gap = 700.0;
+  wl.kinds = {svc::JobKind::kIdct, svc::JobKind::kDft, svc::JobKind::kFir,
+              svc::JobKind::kJpegChain};
+  wl.seed = 33;
+  const svc::ServiceReport rep = service.run(wl);
+  EXPECT_EQ(rep.completed, wl.jobs);
+  RunResult r;
+  r.final_cycle = service.soc().kernel().now();
+  r.stats = service.soc().kernel().stats().all();
+  r.batched_chunks = service.soc().bus().batched_chunks();
+  r.trace_json = tracer.to_json();
   return r;
 }
 
@@ -218,21 +252,29 @@ TEST(SpeedOpts, OptimizedRunIsRepeatable) {
 }
 
 // ---------------------------------------------------------------------
-// Fallback: any beat-level observer must force per-beat arbitration
-// (batched_chunks() == 0) without changing a single bit.
+// Trace identity: the tracer rides the batched windows, and what it
+// records is byte-identical to the per-beat loop's trace.
 
-TEST(SpeedOpts, TracerForcesPerBeatPath) {
-  const RunResult plain = run_dma_copy({});
-  const RunResult traced = run_dma_copy({.tracer = true});
-  expect_identical(plain, traced);
-  EXPECT_EQ(traced.batched_chunks, 0u);
+TEST(SpeedOpts, TraceIdenticalWithBatchingOnAndOff) {
+  const RunResult on = run_dma_copy({.tracer = true});
+  const RunResult off = run_dma_copy({.batching = false, .tracer = true});
+  expect_identical(on, off);
+  expect_identical(run_dma_copy({}), on);  // tracing stays passive
+  EXPECT_GT(on.batched_chunks, 0u) << "tracing forced the per-beat path";
+  EXPECT_EQ(off.batched_chunks, 0u);
+  EXPECT_NE(on.trace_json.find("\"wr\""), std::string::npos);
+  EXPECT_EQ(on.trace_json, off.trace_json);
+
+  const RunResult svc_on = run_traced_service(true);
+  const RunResult svc_off = run_traced_service(false);
+  expect_identical(svc_on, svc_off);
+  EXPECT_GT(svc_on.batched_chunks, 0u);
+  EXPECT_EQ(svc_on.trace_json, svc_off.trace_json);
 }
 
-TEST(SpeedOpts, LoggingForcesPerBeatPath) {
-  const RunResult logged = run_dma_copy({.logging = true});
-  expect_identical(run_dma_copy({}), logged);
-  EXPECT_EQ(logged.batched_chunks, 0u);
-}
+// ---------------------------------------------------------------------
+// Fallback: an observer that acts on each beat or cycle must force
+// per-beat arbitration (batched_chunks() == 0) without changing a bit.
 
 TEST(SpeedOpts, FaultHookForcesPerBeatPath) {
   const RunResult hooked = run_dma_copy({.fault_hook = true});

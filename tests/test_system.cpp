@@ -11,6 +11,7 @@
 #include "bus/monitor.hpp"
 #include "drv/session.hpp"
 #include "obs/sampler.hpp"
+#include "obs/tracer.hpp"
 #include "ouessant/codegen.hpp"
 #include "platform/report.hpp"
 #include "platform/soc.hpp"
@@ -87,7 +88,8 @@ TEST(BusStress, ThreeMastersRandomTraffic) {
   bus::AhbBus bus(kernel, "ahb");
   mem::Sram sram("sram", 0x4000'0000, 1 << 20);
   bus.connect_slave(sram, 0x4000'0000, 1 << 20);
-  bus.set_logging(true);
+  obs::EventTracer tracer(kernel);
+  bus.set_tracer(&tracer);
 
   auto& p0 = bus.connect_master("gen0", 0);
   auto& p1 = bus.connect_master("gen1", 1);
@@ -105,7 +107,10 @@ TEST(BusStress, ThreeMastersRandomTraffic) {
   EXPECT_EQ(g2.mismatches(), 0u);
   EXPECT_EQ(g0.ops_done() + g1.ops_done() + g2.ops_done(), 900u);
 
-  const auto report = bus::check_log(bus.log(), bus.timing());
+  const std::vector<bus::TxnRecord> log = bus::txn_log(tracer, bus);
+  EXPECT_EQ(log.size(), 900u);
+  EXPECT_GT(bus.batched_chunks(), 0u);  // the monitor sees batched windows
+  const auto report = bus::check_log(log, bus.timing());
   EXPECT_TRUE(report.ok) << report.violations.size() << " violations, e.g. "
                          << (report.violations.empty()
                                  ? ""
