@@ -156,7 +156,6 @@ void run_slo(const exp::ParamMap& params, const exp::RunContext& ctx,
 
   // Arm everything. One objective per tenant class (class == priority):
   // high pays for a tight latency bound, normal for a loose one.
-  cfg.obs.profiler = true;
   cfg.obs.slo = true;
   cfg.obs.slo_config.classes = {
       obs::SloObjective{

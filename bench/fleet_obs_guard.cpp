@@ -2,8 +2,9 @@
 //
 //   1. PASSIVITY AT FLEET SCALE. The same 16-shard, fault-armed fleet
 //      runs twice from the same template image: once unarmed and once
-//      with every observability arm live (1-in-N sampling profiler,
-//      per-class SLO burn-rate monitors, flight recorders). Every
+//      with every observability arm live (per-class SLO burn-rate
+//      monitors, and a flight recorder: a bounded event tracer attached
+//      to each shard's whole stack). Every
 //      shard's simulated clock, job counts and per-job latency digest
 //      must be bit-identical across the two runs — telemetry may cost
 //      host time, never simulated time.
@@ -79,8 +80,6 @@ struct RunSnapshot {
 RunSnapshot run_once(bool armed, const std::string& flight_stem) {
   fleet::FleetConfig cfg = make_config();
   if (armed) {
-    cfg.obs.profiler = true;
-    cfg.obs.profile.period = 8;  // dense enough to prove gating matters
     cfg.obs.slo = true;
     cfg.obs.slo_config.classes = {
         obs::SloObjective{

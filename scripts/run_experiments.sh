@@ -21,10 +21,12 @@ JOBS="${JOBS:-$DEFAULT_JOBS}"
 ./build/bench/ouessant_bench --compare-jobs "$JOBS" \
   --json BENCH_sweep.json | tee build/experiment-logs/sweep.txt
 
-# The offload-service scenarios again as a standalone artifact: the
-# serve_* histograms move together (scheduler changes shift every
-# percentile), so reviewers diff BENCH_serve.json on its own.
-./build/bench/ouessant_bench --filter serve --compare-jobs "$JOBS" \
+# The offload-service scenarios (experiment SVC) again as a standalone
+# artifact: the serve_* histograms move together (scheduler changes
+# shift every percentile), so reviewers diff BENCH_serve.json on its
+# own. The faulty, chained and fleet serve_* scenarios have their own
+# records, so the filter is the experiment tag, not the name prefix.
+./build/bench/ouessant_bench --filter SVC --compare-jobs "$JOBS" \
   --json BENCH_serve.json | tee build/experiment-logs/serve.txt
 # The host-speed record (docs/performance.md): cycles/sec with gating,
 # the batched bus windows and the decode cache on vs all forced off.

@@ -47,13 +47,14 @@
 #      histograms) with traced host time within 2x untraced, and the
 #      written trace must round-trip through the ouessant_trace CLI
 #  11. the fleet-observability stage: a 16-shard fault-armed fleet run
-#      twice, unarmed vs fully armed (sampling profiler + quantile
-#      sketches + SLO monitors + flight recorders) — every shard must be
-#      bit-identical and the armed run within 1.5x unarmed host time;
-#      then a python guard re-checks the sketch quantiles against the
-#      exact histogram within the documented relative-error bound, and
-#      an auto-dumped flight trace must round-trip through
-#      `ouessant_trace flight`
+#      twice, unarmed vs fully armed (quantile sketches + SLO monitors +
+#      a flight recorder, i.e. a bounded event tracer on every shard's
+#      whole stack) — every shard must be bit-identical and the armed
+#      run within 1.5x unarmed host time; then a python guard re-checks
+#      the sketch quantiles against the exact histogram within the
+#      documented relative-error bound, and an auto-dumped flight trace
+#      must round-trip through `ouessant_trace flight` and report its
+#      trigger
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -238,8 +239,10 @@ if bad:
     sys.exit(f"sketch guard: quantiles {bad} outside the alpha={alpha} bound")
 print(f"sketch guard OK ({doc['count']} samples within alpha={alpha})")
 EOF
-./build/tools/ouessant_trace flight \
-  build/bench/fleet_obs_guard_shard0.flight.json --top 5 > /dev/null
+flight_report=$(./build/tools/ouessant_trace flight \
+  build/bench/fleet_obs_guard_shard0.flight.json --top 5)
+grep -q "flight trigger at cycle" <<<"${flight_report}" ||
+  { echo "flight guard: shard 0's dump holds no trigger instant"; exit 1; }
 ./build/tools/ouessant_trace slo build/bench/fleet_slo.slo.json \
   > /dev/null 2>&1 || true  # rendered when the FLEET sweep has run
 echo "fleet observability guard OK"

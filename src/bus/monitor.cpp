@@ -14,7 +14,8 @@ std::vector<TxnRecord> txn_log(const obs::EventTracer& tracer,
   std::vector<TxnRecord> log;
   if (track == tracks.end()) return log;
   const auto tid = static_cast<obs::TrackId>(track - tracks.begin());
-  for (const obs::EventTracer::Event& e : tracer.events()) {
+  for (const obs::EventTracer::Event* ep : tracer.chronological()) {
+    const obs::EventTracer::Event& e = *ep;
     if (e.ph != 'X' || e.tid != tid) continue;
     TxnRecord t;
     t.start = e.ts;

@@ -204,7 +204,14 @@ void huff_decode_block(BitReader& in, i32 scan[64], i32& dc_pred) {
 
   const unsigned dcat = dc.decode(in);
   const i32 diff = dcat == 0 ? 0 : extend(in.get(dcat), dcat);
-  dc_pred += diff;
+  // A long enough run of same-sign differences walks the predictor out
+  // of i32: a typed error, not a signed overflow.
+  const i64 pred = i64{dc_pred} + diff;
+  if (pred != static_cast<i32>(pred)) {
+    throw SimError("huff_decode_block: DC predictor leaves i32 (bit " +
+                   std::to_string(in.bits_consumed()) + ")");
+  }
+  dc_pred = static_cast<i32>(pred);
   scan[0] = dc_pred;
 
   u32 i = 1;

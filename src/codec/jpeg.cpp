@@ -73,6 +73,18 @@ i32 get_varint(const std::vector<u8>& in, std::size_t& pos) {
   return static_cast<i32>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// One dequantize multiply. A crafted stream can carry a coefficient
+/// whose product with the table entry leaves i32: a typed error naming
+/// the block, not a signed overflow.
+i32 dequantize(i32 value, i32 quant, u32 block) {
+  const i64 coef = i64{value} * quant;
+  if (coef != static_cast<i32>(coef)) {
+    throw SimError("jpeg: dequantized coefficient leaves i32 in block " +
+                   std::to_string(block));
+  }
+  return static_cast<i32>(coef);
+}
+
 }  // namespace
 
 const std::array<u8, kBlockSize>& zigzag_order() {
@@ -176,7 +188,7 @@ std::vector<std::array<i32, kBlockSize>> decode_huffman(
     std::array<i32, kBlockSize> coef{};
     for (u32 i = 0; i < kBlockSize; ++i) {
       if (scan[i] != 0) ++nonzeros;
-      coef[zz[i]] = scan[i] * quant[zz[i]];  // dequantize
+      coef[zz[i]] = dequantize(scan[i], quant[zz[i]], b);
     }
     blocks.push_back(coef);
   }
@@ -228,7 +240,7 @@ std::vector<std::array<i32, kBlockSize>> decode_coefficients(
                        ", scan index " + std::to_string(scan) + ")");
       }
       const i32 value = get_varint(img.payload, pos);
-      coef[zz[scan]] = value * quant[zz[scan]];  // dequantize
+      coef[zz[scan]] = dequantize(value, quant[zz[scan]], b);
       ++scan;
       ++tokens;
     }

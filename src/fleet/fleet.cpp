@@ -6,8 +6,6 @@
 #include <numeric>
 #include <thread>
 
-#include "obs/flight.hpp"
-#include "obs/profile.hpp"
 #include "obs/tracer.hpp"
 #include "util/parallel.hpp"
 
@@ -43,10 +41,8 @@ u64 fnv1a_u64(u64 h, u64 v) {
 /// these objects) is destroyed first.
 struct ShardObs {
   obs::QuantileSketch sketch;
-  std::unique_ptr<obs::EventTracer> prof_tracer;
-  std::unique_ptr<obs::SamplingProfiler> profiler;
   std::unique_ptr<obs::SloMonitor> slo;
-  std::unique_ptr<obs::FlightRecorder> flight;
+  std::unique_ptr<obs::EventTracer> flight;  ///< bounded ring
   /// This shard's exact e2e samples (keep_exact_histogram only),
   /// appended to FleetReport::exact_e2e when the shard retires.
   svc::LatencyStats exact_e2e;
@@ -81,16 +77,9 @@ std::unique_ptr<LiveShard> fork_shard(const FleetConfig& cfg,
   shard.restore(image);
 
   if (cfg.obs.flight) {
-    ls->obs.flight = std::make_unique<obs::FlightRecorder>(
+    ls->obs.flight = std::make_unique<obs::EventTracer>(
         shard.soc().kernel(), cfg.obs.flight_capacity);
-    shard.attach_flight_recorder(*ls->obs.flight);
-  }
-  if (cfg.obs.profiler) {
-    ls->obs.prof_tracer =
-        std::make_unique<obs::EventTracer>(shard.soc().kernel());
-    ls->obs.profiler = std::make_unique<obs::SamplingProfiler>(
-        *ls->obs.prof_tracer, cfg.obs.profile);
-    shard.attach_profiler(*ls->obs.profiler);
+    shard.attach_tracer(*ls->obs.flight);
   }
   if (cfg.obs.slo) {
     ls->obs.slo = std::make_unique<obs::SloMonitor>(cfg.obs.slo_config);
@@ -257,7 +246,7 @@ FleetReport run_fleet(const FleetConfig& cfg) {
   if (cfg.verify_reproducible) {
     // A second clone with shard 0's seed must reproduce shard 0's run
     // bit-for-bit: same completions, same clocks, same per-job latency
-    // digest. The redo runs UNARMED (no profiler/SLO/flight), so a pass
+    // digest. The redo runs UNARMED (no SLO/flight), so a pass
     // here is also the passivity proof in miniature: telemetry arming
     // on shard 0 did not move its simulated clock.
     FleetConfig redo_cfg = cfg;

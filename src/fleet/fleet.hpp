@@ -21,12 +21,13 @@
 // per-job latencies stream into DDSketch-style quantile sketches as
 // shards retire — never into retained raw sample vectors — so fleet
 // p99/p99.9 are deterministic regardless of shard count or merge order
-// and fleet memory stays O(sketch), not O(jobs). Optional arms: a
-// 1-in-N sampling profiler per shard, per-tenant-class SLO burn-rate
-// monitors folded into one ouessant.slo.v1 report, and per-shard flight
-// recorders dumped automatically when the fault layer quarantines a
-// worker or a watchdog expires. All of it is passive: armed or not,
-// shard sim clocks are bit-identical (the fleet_obs_guard proof).
+// and fleet memory stays O(sketch), not O(jobs). Optional arms:
+// per-tenant-class SLO burn-rate monitors folded into one
+// ouessant.slo.v1 report, and a per-shard flight recorder (a bounded
+// event tracer on the whole stack) dumped automatically when the fault
+// layer quarantines a worker or a watchdog expires. All of it is
+// passive: armed or not, shard sim clocks are bit-identical (the
+// fleet_obs_guard proof).
 #pragma once
 
 #include <string>
@@ -46,10 +47,6 @@ struct FleetObsConfig {
   /// guarantee the tier-1 guard enforces).
   double sketch_error = obs::kDefaultSketchError;
 
-  /// Arm the 1-in-N sampling profiler on every shard's dispatcher.
-  bool profiler = false;
-  obs::ProfileConfig profile{};
-
   /// Arm per-shard SLO monitors; per-class results merge into
   /// FleetReport::slo. classes must have svc::kNumPriorities entries
   /// (tenant class == job priority).
@@ -58,8 +55,9 @@ struct FleetObsConfig {
   /// When non-empty, the merged ouessant.slo.v1 report is written here.
   std::string slo_report_path;
 
-  /// Arm a per-shard flight recorder (attached to the controller / RAC
-  /// / ICAP hooks after restore). When a shard's fault handling
+  /// Arm a per-shard flight recorder: a bounded obs::EventTracer of
+  /// `flight_capacity` events, attached to the whole stack with
+  /// attach_tracer after restore. When a shard's fault handling
   /// triggers it, the ring is dumped to
   /// `<flight_dump_stem>_shard<i>.flight.json` (no files when the stem
   /// is empty — triggers are still counted).
@@ -71,8 +69,6 @@ struct FleetObsConfig {
   /// (FleetReport::exact_e2e). O(total jobs) memory — validation runs
   /// only: the tier-1 guard compares sketch quantiles against it.
   bool keep_exact_histogram = false;
-
-  [[nodiscard]] bool armed() const { return profiler || slo || flight; }
 };
 
 struct FleetConfig {

@@ -66,7 +66,7 @@ class QuantileSketch {
   /// contents agree — the merge-order-independence tests compare folds.
   [[nodiscard]] bool operator==(const QuantileSketch& rhs) const;
 
-  // -- snapshot protocol (docs/snapshots.md) ----------------------------
+  // -- snapshot protocol (docs/fleet.md) --------------------------------
   void save_state(snap::StateWriter& w) const;
   void restore_state(snap::StateReader& r);
 

@@ -6,6 +6,13 @@
 // directly. Timestamps are sim cycles (the file declares the unit), so a
 // span's length in the viewer is exactly its cycle cost in Table I terms.
 //
+// Retention is the one choice: a tracer keeps every event (kKeepAll, the
+// default), or it is a flight recorder that keeps only the most recent
+// `capacity` events in a ring, overwriting the oldest at O(1) per event.
+// Both run the same record()/chronological() code. When a fault layer
+// calls trigger(), the tracer latches the first reason so the owner
+// knows the ring is worth dumping (docs/observability.md).
+//
 // Cost model: tracing is wired through nullable `obs::EventTracer*`
 // members. When no tracer is attached every instrumentation site is a
 // single pointer compare — the tracer deliberately has NO kernel sampler,
@@ -13,10 +20,12 @@
 // are untouched: tracing is passive (asserted by the determinism tests).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sim/kernel.hpp"
+#include "snap/state.hpp"
 #include "util/types.hpp"
 
 namespace ouessant::obs {
@@ -59,8 +68,12 @@ class EventTracer {
     std::vector<Arg> args;
   };
 
-  explicit EventTracer(sim::Kernel& kernel) : kernel_(kernel) {}
-  virtual ~EventTracer() = default;
+  /// Capacity of a tracer that keeps every event (a full trace).
+  static constexpr std::size_t kKeepAll = SIZE_MAX;
+
+  /// @p capacity: the most events retained; past it the oldest event is
+  /// overwritten and counted in dropped(). Must be >= 1.
+  explicit EventTracer(sim::Kernel& kernel, std::size_t capacity = kKeepAll);
 
   EventTracer(const EventTracer&) = delete;
   EventTracer& operator=(const EventTracer&) = delete;
@@ -87,8 +100,24 @@ class EventTracer {
   void flow_step(TrackId t, std::string name, u64 flow_id);
   void flow_end(TrackId t, std::string name, u64 flow_id);
 
+  /// Mark the trace "worth dumping": records a `flight_trigger` instant
+  /// (with @p reason) on the "flight" track and latches the trigger so
+  /// the owning layer knows to write the file out. Repeat triggers keep
+  /// the first reason/cycle (the earliest fault is the interesting one)
+  /// but still land in the trace.
+  void trigger(const std::string& reason);
+
+  [[nodiscard]] bool triggered() const { return triggered_; }
+  [[nodiscard]] const std::string& reason() const { return reason_; }
+  [[nodiscard]] Cycle trigger_cycle() const { return trigger_cycle_; }
+
+  /// True for a flight-recorder ring, false for a full trace.
+  [[nodiscard]] bool bounded() const { return capacity_ != kKeepAll; }
+  /// Events overwritten since the ring filled (0 for a full trace).
+  [[nodiscard]] u64 dropped() const { return dropped_; }
   [[nodiscard]] std::size_t event_count() const { return events_.size(); }
-  [[nodiscard]] const std::vector<Event>& events() const { return events_; }
+  /// Retained events, oldest first.
+  [[nodiscard]] std::vector<const Event*> chronological() const;
   [[nodiscard]] const std::vector<std::string>& track_names() const {
     return track_names_;
   }
@@ -101,22 +130,26 @@ class EventTracer {
   /// to_json + write to @p path; throws SimError when unwritable.
   void write_json(const std::string& path) const;
 
- protected:
-  /// Every emit path funnels through here. Subclasses override to bound
-  /// retention (obs::FlightRecorder keeps a ring instead of the full
-  /// append-only log).
-  virtual void record(Event e) { events_.push_back(std::move(e)); }
-
-  /// Events in timestamp order for serialization. The base class stores
-  /// them in emission order, which IS cycle order; a ring overrides this
-  /// to un-rotate its buffer.
-  [[nodiscard]] virtual std::vector<const Event*> chronological() const;
-
-  std::vector<Event> events_;
+  // -- snapshot protocol: the ring a restored stack resumes with --------
+  void save_state(snap::StateWriter& w) const;
+  /// Capacity must match, and tracks already interned must agree with
+  /// the image's order. Nothing changes unless the whole image is valid.
+  void restore_state(snap::StateReader& r);
 
  private:
+  /// Every emit path funnels through here: append until the capacity is
+  /// reached, then overwrite the oldest event.
+  void record(Event e);
+
   sim::Kernel& kernel_;
+  std::size_t capacity_;
+  std::vector<Event> events_;
+  std::size_t next_ = 0;  ///< ring write cursor (oldest event once full)
+  u64 dropped_ = 0;
   std::vector<std::string> track_names_;
+  bool triggered_ = false;
+  std::string reason_;
+  Cycle trigger_cycle_ = 0;
 };
 
 }  // namespace ouessant::obs

@@ -87,33 +87,8 @@ void Dispatcher::set_tracer(obs::EventTracer* tracer) {
   for (auto& w : workers_) w.session->set_tracer(tracer);
 }
 
-void Dispatcher::set_job_sampler(const obs::SamplingProfiler* prof) {
-  sampler_ = prof;
-  if (prof == nullptr) return;
-  // Job-level hooks only: the worker sessions (driver spans) and queue
-  // counters stay detached — sampled tracing is the subset that stays
-  // affordable with hundreds of shards, and a sampled job's events
-  // (enqueue instant, flow arrows, dispatch/retire spans) are coherent
-  // end-to-end because job_traced() is a pure function of the id.
-  tracer_ = &prof->tracer();
-  sched_track_ = tracer_->track("svc.sched");
-  jobs_track_ = tracer_->track("svc.jobs");
-  for (auto& w : workers_) {
-    w.track = tracer_->track("svc.worker." + w.session->tail().ocp().name());
-  }
-}
-
-bool Dispatcher::batch_traced(const std::vector<Job>& batch) const {
-  if (tracer_ == nullptr) return false;
-  if (sampler_ == nullptr) return true;
-  for (const Job& j : batch) {
-    if (sampler_->sampled(j.id)) return true;
-  }
-  return false;
-}
-
 void Dispatcher::trace_enqueue(u64 id, JobKind kind) {
-  if (!job_traced(id)) return;
+  if (tracer_ == nullptr) return;
   tracer_->instant(sched_track_, "enqueue",
                    {obs::arg("id", id), obs::arg("kind", kind_name(kind))});
   tracer_->flow_begin(sched_track_, "job", id);
@@ -121,10 +96,7 @@ void Dispatcher::trace_enqueue(u64 id, JobKind kind) {
 }
 
 void Dispatcher::trace_queue_counters() {
-  // Counter series are full-rate by nature; under a sampling profiler
-  // they are dropped entirely rather than emitted at a misleading
-  // sampled rate.
-  if (tracer_ == nullptr || sampler_ != nullptr) return;
+  if (tracer_ == nullptr) return;
   tracer_->counter(sched_track_, "queue_depth", queue_.size());
   tracer_->counter(sched_track_, "in_flight", in_flight_);
 }
@@ -328,7 +300,7 @@ void Dispatcher::retire_batch(Worker& w) {
       continue;
     }
     ++completed_;
-    if (job_traced(job.id)) {
+    if (tracer_ != nullptr) {
       tracer_->complete(
           jobs_track_, kind_name(job.kind), job.arrival, job.complete,
           {obs::arg("id", job.id), obs::arg("wait", job.queue_wait()),
@@ -359,9 +331,7 @@ std::vector<Job> Dispatcher::end_batch(Worker& w, const char* aborted) {
   w.stats.busy_cycles += end - w.busy_since;
   in_flight_ -= static_cast<u32>(batch.size());
   charge_retire(gpp_, batch.size());
-  // An aborted batch is always traced, like the fault instants around
-  // it; a retired one only when a sampled job rides it.
-  if (aborted != nullptr ? tracer_ != nullptr : batch_traced(batch)) {
+  if (tracer_ != nullptr) {
     std::vector<obs::Arg> args = {obs::arg("jobs", u64{batch.size()}),
                                   obs::arg("kind", kind_name(w.kind))};
     if (aborted != nullptr) args.push_back(obs::arg(aborted, u64{1}));
@@ -407,7 +377,7 @@ void Dispatcher::launch(std::size_t wi, std::vector<Job> batch) {
   for (auto& job : batch) {
     job.dispatch = dispatched;
     job.worker = static_cast<int>(wi);
-    if (job_traced(job.id)) tracer_->flow_step(w.track, "job", job.id);
+    if (tracer_ != nullptr) tracer_->flow_step(w.track, "job", job.id);
   }
   w.session->start_async();
   w.busy = true;
@@ -510,12 +480,12 @@ void Dispatcher::handle_worker_fault(Worker& w, fault::FaultClass cls) {
                          std::to_string(policy_.watchdog_cycles) +
                          " cycles busy)"};
   }
-  if (flight_ != nullptr && cls == fault::FaultClass::kTimeout) {
-    // A hang is exactly the moment the ring was kept for: latch it so
-    // the owning layer dumps the post-mortem window.
-    flight_->trigger("watchdog:" + w.session->tail().ocp().name());
-  }
   if (tracer_ != nullptr) {
+    // A hang is exactly the moment a flight ring is kept for: latch it
+    // so the owning layer dumps the post-mortem window.
+    if (cls == fault::FaultClass::kTimeout) {
+      tracer_->trigger("watchdog:" + w.session->tail().ocp().name());
+    }
     tracer_->instant(w.track, "fault",
                      {obs::arg("class", fault::class_name(cls)),
                       obs::arg("why", info.reason),
@@ -540,9 +510,7 @@ void Dispatcher::penalize_worker(Worker& w) {
     if (tracer_ != nullptr) {
       tracer_->instant(w.track, "quarantine",
                        {obs::arg("consecutive", u64{w.consecutive_faults})});
-    }
-    if (flight_ != nullptr) {
-      flight_->trigger("quarantine:" + w.session->tail().ocp().name());
+      tracer_->trigger("quarantine:" + w.session->tail().ocp().name());
     }
   }
 }
@@ -570,7 +538,7 @@ void Dispatcher::fault_job(Job job, fault::FaultClass cls, Cycle now) {
 
 void Dispatcher::fail_job(const Job& job, fault::FaultClass cls) {
   ++failed_;
-  if (job_traced(job.id)) {
+  if (tracer_ != nullptr) {
     tracer_->instant(jobs_track_, "job_failed",
                      {obs::arg("id", job.id),
                       obs::arg("attempts", u64{job.attempts}),

@@ -28,8 +28,6 @@
 #include "cpu/irq_controller.hpp"
 #include "drv/chain.hpp"
 #include "fault/report.hpp"
-#include "obs/flight.hpp"
-#include "obs/profile.hpp"
 #include "obs/tracer.hpp"
 #include "sim/kernel.hpp"
 #include "svc/job.hpp"
@@ -223,23 +221,9 @@ class Dispatcher : public sim::Component {
   /// split) on "svc.jobs", and a flow arrow stitching each job's
   /// enqueue -> dispatch -> retire across those tracks. Also forwards to
   /// every worker session (driver spans land on their "drv.*" tracks).
+  /// A worker quarantine or watchdog expiry calls the tracer's
+  /// trigger(), which latches a bounded ring for a post-mortem dump.
   void set_tracer(obs::EventTracer* tracer);
-
-  /// Attach a sampling profiler: the job-level trace hooks (enqueue
-  /// instants, flow arrows, dispatch/retire spans) arm for the
-  /// profiler's 1-in-N job subset only, writing into the profiler's
-  /// tracer. Unlike set_tracer this does NOT forward to the worker
-  /// sessions or emit queue counters — sampled tracing is the
-  /// fleet-affordable subset (docs/observability.md). Purely host-side:
-  /// sim clocks are bit-identical armed or not.
-  void set_job_sampler(const obs::SamplingProfiler* prof);
-
-  /// Attach a flight recorder for fault triggers: the dispatcher calls
-  /// trigger() when it quarantines a worker or a watchdog deadline
-  /// expires, latching the ring for a post-mortem dump. Independent of
-  /// set_tracer — the recorder is typically wired to the hardware
-  /// layers while the dispatcher only marks the moments that matter.
-  void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
 
   // sim::Component (the arrival doorbell).
   void tick_commit() override;
@@ -282,15 +266,6 @@ class Dispatcher : public sim::Component {
     Cycle ready_at = 0;
     Job job;
   };
-
-  /// Job-coherent sampling gate: true when @p id's events should be
-  /// emitted (tracer attached, and either no profiler or the job is in
-  /// the sampled subset).
-  [[nodiscard]] bool job_traced(u64 id) const {
-    return tracer_ != nullptr &&
-           (sampler_ == nullptr || sampler_->sampled(id));
-  }
-  [[nodiscard]] bool batch_traced(const std::vector<Job>& batch) const;
 
   void ingest_arrivals();
   void retire_completions();
@@ -350,8 +325,6 @@ class Dispatcher : public sim::Component {
   std::function<void(const Job&)> completion_hook_;
   std::function<void(const Job&)> failure_hook_;
   obs::EventTracer* tracer_ = nullptr;
-  const obs::SamplingProfiler* sampler_ = nullptr;  ///< 1-in-N job gate
-  obs::FlightRecorder* flight_ = nullptr;  ///< fault-trigger target
   obs::TrackId sched_track_ = 0;  ///< "svc.sched": instants + counters
   obs::TrackId jobs_track_ = 0;   ///< "svc.jobs": per-job lifetime spans
 };

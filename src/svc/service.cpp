@@ -293,20 +293,17 @@ void OffloadService::build_chains() {
   }
 }
 
-void OffloadService::wire_hardware(obs::EventTracer& tracer) {
+void OffloadService::attach_tracer(obs::EventTracer& tracer) {
   soc_.bus().set_tracer(&tracer);
   for (std::size_t i = 0; i < soc_.ocp_count(); ++i) {
     soc_.ocp(i).controller().set_tracer(&tracer);
     soc_.ocp(i).rac().set_tracer(&tracer);
   }
   if (icap_ != nullptr) icap_->set_tracer(&tracer);
-}
-
-void OffloadService::attach_tracer(obs::EventTracer& tracer) {
-  wire_hardware(tracer);
   // Last, so the scheduler/job/worker tracks land after the hardware
   // ones and the per-session "drv.*" tracks get wired too.
   dispatcher_.set_tracer(&tracer);
+  tracer_ = &tracer;
 }
 
 void OffloadService::attach_metrics(obs::MetricsSampler& sampler) {
@@ -328,16 +325,6 @@ void OffloadService::attach_metrics(obs::MetricsSampler& sampler) {
         [this, i] { return static_cast<u64>(dispatcher_.worker_busy(i)); },
         "bool", "worker " + std::to_string(i) + " serving a batch");
   }
-}
-
-void OffloadService::attach_profiler(obs::SamplingProfiler& prof) {
-  dispatcher_.set_job_sampler(&prof);
-}
-
-void OffloadService::attach_flight_recorder(obs::FlightRecorder& flight) {
-  wire_hardware(flight);
-  dispatcher_.set_flight_recorder(&flight);
-  flight_ = &flight;
 }
 
 void OffloadService::validate(const WorkloadConfig& workload) const {
@@ -543,8 +530,10 @@ snap::Snapshot OffloadService::snapshot() const {
   rep_.e2e.save_state(w, "e2e");
   w.write_bool("has_injector", injector_ != nullptr);
   if (injector_) injector_->save_state(w);
-  w.write_bool("has_flight", flight_ != nullptr);
-  if (flight_ != nullptr) flight_->save_state(w);
+  // A ring must span a restore; a full trace is host output.
+  const bool ring = tracer_ != nullptr && tracer_->bounded();
+  w.write_bool("has_flight", ring);
+  if (ring) tracer_->save_state(w);
   s.add("svc", 2, w.take());
   return s;
 }
@@ -595,12 +584,12 @@ void OffloadService::restore(const snap::Snapshot& snap) {
         "svc: injector presence differs between image and target");
   }
   if (injector_) injector_->restore_state(r);
-  const bool has_flight = r.read_bool("has_flight");
-  if (has_flight != (flight_ != nullptr)) {
+  const bool ring = tracer_ != nullptr && tracer_->bounded();
+  if (r.read_bool("has_flight") != ring) {
     throw snap::SnapshotError(
-        "svc: flight-recorder presence differs between image and target");
+        "svc: flight-ring presence differs between image and target");
   }
-  if (flight_ != nullptr) flight_->restore_state(r);
+  if (ring) tracer_->restore_state(r);
   r.expect_end();
 
   if (began_) install_completion_hook();

@@ -17,8 +17,6 @@
 #include "exp/result.hpp"
 #include "fault/injector.hpp"
 #include "fifo/chain_link.hpp"
-#include "obs/flight.hpp"
-#include "obs/profile.hpp"
 #include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
 #include "platform/soc.hpp"
@@ -137,31 +135,19 @@ class OffloadService {
  public:
   explicit OffloadService(ServiceConfig cfg = {});
 
-  /// Wire @p tracer through every layer of the stack: dispatcher flows
-  /// and job spans, driver session spans, bus transactions, controller
-  /// instruction spans, RAC busy windows. Call before run().
+  /// Wire @p tracer through every layer of the stack: bus transactions,
+  /// controller instruction spans, RAC busy windows, ICAP streams, then
+  /// dispatcher flows and job spans and driver session spans. Call
+  /// before run(). A bounded tracer (a flight-recorder ring) is latched
+  /// by the dispatcher's quarantine / watchdog faults and is
+  /// snapshot-carried: the "svc" section records the ring, so attach
+  /// one of the same capacity before restore() to resume it. A full
+  /// trace is host output and stays out of the image.
   void attach_tracer(obs::EventTracer& tracer);
 
   /// Register the standard service gauges (queue depth, in-flight,
   /// per-worker busy, bus occupancy) on @p sampler. Call before run().
   void attach_metrics(obs::MetricsSampler& sampler);
-
-  /// Arm the sampling profiler: job-level trace hooks (enqueue,
-  /// flow arrows, dispatch/retire spans) fire for the profiler's 1-in-N
-  /// job subset only, into the profiler's tracer. The fleet-affordable
-  /// alternative to attach_tracer: hardware layers stay untraced, and
-  /// arming is passive — sim clocks are bit-identical either way.
-  void attach_profiler(obs::SamplingProfiler& prof);
-
-  /// Arm the flight recorder: the hardware layers (bus, controllers,
-  /// RACs, ICAP) stream full-fidelity events into @p flight's bounded
-  /// ring, and the dispatcher latches a trigger on quarantine / watchdog
-  /// faults so the owning layer knows to dump the ring post-mortem.
-  /// The bus's transaction spans ride its batched windows, so the ring
-  /// costs each shard memory, not its fast path. Snapshot-carried: the
-  /// "svc" section records the ring so a warm-booted clone resumes with
-  /// its template's recent history.
-  void attach_flight_recorder(obs::FlightRecorder& flight);
 
   /// Toggle raw latency-sample retention in the ServiceReport (default
   /// on). Fleet shards turn it off: per-job latencies stream into the
@@ -239,9 +225,6 @@ class OffloadService {
 
  private:
   void validate(const WorkloadConfig& workload) const;
-  /// Wire @p tracer into the hardware layers: bus, every OCP's
-  /// controller and RAC, and the ICAP.
-  void wire_hardware(obs::EventTracer& tracer);
   void install_completion_hook();
   void build_slot_farm();
   void build_chains();
@@ -265,7 +248,7 @@ class OffloadService {
   std::unique_ptr<SlotManager> slot_mgr_;
   std::vector<std::unique_ptr<fifo::ChainLink>> links_;  ///< one per chain
   std::function<void(const Job&)> job_observer_;
-  obs::FlightRecorder* flight_ = nullptr;  ///< attached ring (not owned)
+  obs::EventTracer* tracer_ = nullptr;  ///< attached tracer (not owned)
   bool record_latency_ = true;
   bool ran_ = false;
 

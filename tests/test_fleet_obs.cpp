@@ -1,15 +1,14 @@
-// Fleet-scale observability (src/obs sketch/profile/slo/flight + the
-// fleet wiring): the PR 9 guarantees as unit and integration tests.
+// Fleet-scale observability (src/obs sketch/slo, the bounded tracer +
+// the fleet wiring) as unit and integration tests.
 //
 //  - QuantileSketch: pinned relative-error bound against exact
 //    nearest-rank quantiles, merge commutativity/associativity across
 //    shard orders, snapshot round-trip, config mismatch refusal.
-//  - SamplingProfiler: pure deterministic job selection, exact 1-in-1
-//    degenerate case.
 //  - SloMonitor: good/bad accounting, multi-window rising-edge alerts,
 //    report merge arithmetic, slo.v1 file round-trip.
-//  - FlightRecorder: ring overwrite semantics, chronological dump
-//    order, trigger latching, snapshot round-trip.
+//  - Bounded EventTracer (the flight recorder): ring overwrite
+//    semantics, chronological dump order, trigger latching, snapshot
+//    round-trip.
 //  - fleet::run_fleet: armed-vs-unarmed digest bit-identity (passivity
 //    at fleet scale), zero retained raw samples, fault-armed flight
 //    dumps that parse back as ordinary traces.
@@ -23,11 +22,10 @@
 
 #include "fault/plan.hpp"
 #include "fleet/fleet.hpp"
-#include "obs/flight.hpp"
-#include "obs/profile.hpp"
 #include "obs/sketch.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace_reader.hpp"
+#include "obs/tracer.hpp"
 #include "sim/kernel.hpp"
 #include "snap/state.hpp"
 #include "svc/latency.hpp"
@@ -140,50 +138,6 @@ TEST(Sketch, SnapshotRoundTrip) {
   EXPECT_THROW(wrong.restore_state(r2), snap::SnapshotError);
 }
 
-// ----------------------------------------------------------- profiler
-
-TEST(Profiler, SelectionIsPureAndSeeded) {
-  sim::Kernel kernel;
-  obs::EventTracer tracer(kernel);
-  const obs::SamplingProfiler prof(tracer, {.period = 8, .seed = 42});
-
-  std::vector<u64> first, second;
-  for (u64 id = 0; id < 4096; ++id) {
-    if (prof.sampled(id)) first.push_back(id);
-  }
-  for (u64 id = 0; id < 4096; ++id) {
-    if (prof.sampled(id)) second.push_back(id);
-  }
-  EXPECT_EQ(first, second);  // pure: no hidden state between calls
-  EXPECT_FALSE(first.empty());
-  // 1-in-8 over 4096 hashed ids: expect roughly 512, allow wide margin.
-  EXPECT_GT(first.size(), 256u);
-  EXPECT_LT(first.size(), 1024u);
-
-  // A different seed selects a different subset (with overwhelming
-  // probability for 4096 ids).
-  const obs::SamplingProfiler other(tracer, {.period = 8, .seed = 43});
-  std::vector<u64> other_ids;
-  for (u64 id = 0; id < 4096; ++id) {
-    if (other.sampled(id)) other_ids.push_back(id);
-  }
-  EXPECT_NE(first, other_ids);
-}
-
-TEST(Profiler, PeriodOneSamplesEverything) {
-  sim::Kernel kernel;
-  obs::EventTracer tracer(kernel);
-  const obs::SamplingProfiler prof(tracer, {.period = 1, .seed = 0});
-  for (u64 id = 0; id < 64; ++id) EXPECT_TRUE(prof.sampled(id));
-}
-
-TEST(Profiler, RejectsZeroPeriod) {
-  sim::Kernel kernel;
-  obs::EventTracer tracer(kernel);
-  EXPECT_THROW(obs::SamplingProfiler(tracer, {.period = 0, .seed = 0}),
-               SimError);
-}
-
 // ---------------------------------------------------------------- slo
 
 obs::SloConfig two_class_config() {
@@ -292,7 +246,7 @@ TEST(Slo, ArtifactWriteCreatesParentDirectories) {
 
 TEST(Flight, RingKeepsOnlyTheMostRecentEvents) {
   sim::Kernel kernel;
-  obs::FlightRecorder flight(kernel, 8);
+  obs::EventTracer flight(kernel, 8);
   const obs::TrackId t = flight.track("test");
   for (u64 i = 0; i < 20; ++i) {
     flight.complete(t, "ev" + std::to_string(i), i, i + 1);
@@ -309,7 +263,7 @@ TEST(Flight, RingKeepsOnlyTheMostRecentEvents) {
 
 TEST(Flight, TriggerLatchesFirstReason) {
   sim::Kernel kernel;
-  obs::FlightRecorder flight(kernel, 16);
+  obs::EventTracer flight(kernel, 16);
   EXPECT_FALSE(flight.triggered());
   flight.trigger("watchdog:ocp0");
   flight.trigger("quarantine:ocp0");
@@ -321,7 +275,7 @@ TEST(Flight, TriggerLatchesFirstReason) {
 
 TEST(Flight, SnapshotRoundTripPreservesRingAndTrigger) {
   sim::Kernel kernel;
-  obs::FlightRecorder flight(kernel, 4);
+  obs::EventTracer flight(kernel, 4);
   const obs::TrackId t = flight.track("alpha");
   const obs::TrackId u = flight.track("beta");
   for (u64 i = 0; i < 7; ++i) {
@@ -334,7 +288,7 @@ TEST(Flight, SnapshotRoundTripPreservesRingAndTrigger) {
   flight.save_state(w);
 
   sim::Kernel kernel2;
-  obs::FlightRecorder back(kernel2, 4);
+  obs::EventTracer back(kernel2, 4);
   // Tracks are verify-or-intern on restore: pre-interning in the same
   // order is legal, a different order is a SnapshotError (below).
   snap::StateReader r(w.bytes(), "flight-test");
@@ -346,15 +300,27 @@ TEST(Flight, SnapshotRoundTripPreservesRingAndTrigger) {
   EXPECT_EQ(back.dropped(), flight.dropped());
 
   sim::Kernel kernel3;
-  obs::FlightRecorder skewed(kernel3, 4);
+  obs::EventTracer skewed(kernel3, 4);
   (void)skewed.track("beta");  // wrong interning order
   snap::StateReader r2(w.bytes(), "flight-test");
   EXPECT_THROW(skewed.restore_state(r2), snap::SnapshotError);
 
   sim::Kernel kernel4;
-  obs::FlightRecorder small(kernel4, 2);  // capacity mismatch
+  obs::EventTracer small(kernel4, 2);  // capacity mismatch
   snap::StateReader r3(w.bytes(), "flight-test");
   EXPECT_THROW(small.restore_state(r3), snap::SnapshotError);
+}
+
+TEST(Flight, FullTraceKeepsEveryEventAndRingNeedsCapacity) {
+  sim::Kernel kernel;
+  obs::EventTracer full(kernel);
+  EXPECT_FALSE(full.bounded());
+  const obs::TrackId t = full.track("test");
+  for (u64 i = 0; i < 100; ++i) full.complete(t, "ev", i, i + 1);
+  EXPECT_EQ(full.event_count(), 100u);
+  EXPECT_EQ(full.dropped(), 0u);
+  EXPECT_TRUE(obs::EventTracer(kernel, 1).bounded());
+  EXPECT_THROW(obs::EventTracer(kernel, 0), SimError);
 }
 
 /// A hand-built flight image: ring cursor @p next, @p events spans on
@@ -394,7 +360,7 @@ TEST(Flight, RestoreRejectsRingCursorAndCountOutOfRange) {
   for (const Case c : {Case{1'000'000, 4}, Case{4, 4}, Case{0, 5},
                        Case{2, 3}}) {
     sim::Kernel kernel;
-    obs::FlightRecorder flight(kernel, 4);
+    obs::EventTracer flight(kernel, 4);
     const obs::TrackId t = flight.track("t");
     flight.complete(t, "before", 0, 1);
     const std::string before = flight.to_json();
@@ -408,7 +374,7 @@ TEST(Flight, RestoreRejectsRingCursorAndCountOutOfRange) {
   }
   // A full ring with an in-range cursor restores and keeps recording.
   sim::Kernel kernel;
-  obs::FlightRecorder flight(kernel, 4);
+  obs::EventTracer flight(kernel, 4);
   snap::StateReader r(flight_image(4, 3, 4), "flight-test");
   flight.restore_state(r);
   flight.complete(flight.track("t"), "next", 9, 10);
@@ -441,8 +407,6 @@ TEST(FleetObs, ArmingIsPassiveAtFleetScale) {
   const fleet::FleetReport bare = fleet::run_fleet(bare_cfg);
 
   fleet::FleetConfig armed_cfg = small_fleet(4);
-  armed_cfg.obs.profiler = true;
-  armed_cfg.obs.profile.period = 4;
   armed_cfg.obs.slo = true;
   armed_cfg.obs.slo_config.classes = {
       obs::SloObjective{
@@ -520,6 +484,19 @@ TEST(FleetObs, FaultArmedFleetDumpsParseableFlightTraces) {
       }
     }
     EXPECT_TRUE(found) << path;
+    // The ring is attached to the whole stack, so the dispatcher's own
+    // tracks and the quarantine next to the trigger are in the dump.
+    EXPECT_TRUE(std::any_of(trace.track_names.begin(),
+                            trace.track_names.end(),
+                            [](const std::string& t) {
+                              return t.rfind("svc.worker.", 0) == 0;
+                            }))
+        << path;
+    EXPECT_TRUE(std::any_of(trace.events.begin(), trace.events.end(),
+                            [](const obs::ParsedEvent& e) {
+                              return e.ph == 'i' && e.name == "quarantine";
+                            }))
+        << path;
   }
   for (const fleet::ShardResult& s : rep.shard_results) {
     EXPECT_TRUE(s.flight_triggered);

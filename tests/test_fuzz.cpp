@@ -13,12 +13,21 @@
 // reader and not the CRC check is what gets tested. Every mutant must
 // restore or throw SnapshotError, and a rejected one leaves the SRAM as
 // it was.
+//
+// Codec fuzzing: bit flips, truncation and inserted bytes applied to the
+// RLE and Huffman encodings of a test image. Every mutant must decode or
+// throw SimError; a coefficient or DC predictor that would leave i32 is
+// one of those typed errors, never a signed overflow.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <fstream>
 #include <typeinfo>
+
+#include "codec/huffman.hpp"
+#include "codec/jpeg.hpp"
 
 #include "drv/session.hpp"
 #include "fault/plan.hpp"
@@ -612,6 +621,118 @@ TEST(SnapFuzz, HugeKernelCountsAreTypedErrors) {
     }
     platform::Soc target;
     EXPECT_THROW(target.restore(m), snap::SnapshotError) << field;
+  }
+}
+
+// ------------------------------------------------------------ codec fuzz
+
+TEST(CodecFuzz, RleDequantizeOverflowIsATypedError) {
+  // Run 0, a varint for INT32_MAX, end of block: times the quality-50
+  // DC entry (16) the coefficient leaves i32.
+  const codec::JpegImage img{.width = 8,
+                             .height = 8,
+                             .quality = 50,
+                             .entropy = codec::EntropyKind::kRle,
+                             .payload = {0x00, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F,
+                                         0xFF}};
+  EXPECT_THROW((void)codec::decode_coefficients(img), SimError);
+  // Without the multiply the value is representable.
+  EXPECT_EQ(codec::decode_quantized(img)[0][0], INT32_MAX);
+}
+
+TEST(CodecFuzz, HuffmanDequantizeOverflowNamesTheBlock) {
+  // Every block's DC difference is +2047, so block b carries DC
+  // 2047 * (b + 1); at quality 1 every table entry is 255, and block
+  // 4114 is the first whose product leaves i32.
+  codec::BitWriter w;
+  i32 pred = 0;
+  for (i32 b = 0; b < 5000; ++b) {
+    i32 scan[codec::kBlockSize] = {};
+    scan[0] = 2047 * (b + 1);
+    codec::huff_encode_block(w, scan, pred);
+  }
+  const codec::JpegImage img{.width = 8 * 5000,
+                             .height = 8,
+                             .quality = 1,
+                             .entropy = codec::EntropyKind::kHuffman,
+                             .payload = w.finish()};
+  EXPECT_EQ(codec::decode_quantized(img).size(), 5000u);
+  try {
+    (void)codec::decode_coefficients(img);
+    ADD_FAILURE() << "overflowing coefficient decoded";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("block 4114"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CodecFuzz, DcPredictorOverflowIsATypedError) {
+  codec::BitWriter w;
+  i32 enc_pred = 0;
+  i32 scan[codec::kBlockSize] = {};
+  scan[0] = 2047;
+  codec::huff_encode_block(w, scan, enc_pred);
+  const std::vector<u8> bytes = w.finish();
+  codec::BitReader in(bytes);
+  i32 out[codec::kBlockSize];
+  i32 pred = INT32_MAX - 100;
+  EXPECT_THROW(codec::huff_decode_block(in, out, pred), SimError);
+}
+
+/// One payload mutation: a bit flip, a truncation, or 1-5 inserted
+/// bytes biased toward the values that end blocks and extend varints.
+void mutate_payload(util::Rng& rng, std::vector<u8>& p) {
+  switch (rng.below(3)) {
+    case 0:
+      if (!p.empty()) {
+        p[rng.below(static_cast<u32>(p.size()))] ^=
+            static_cast<u8>(1u << rng.below(8));
+      }
+      break;
+    case 1:
+      p.resize(rng.below(static_cast<u32>(p.size()) + 1));
+      break;
+    default: {
+      static constexpr u8 kBytes[] = {0x00, 0xFF, 0x7F, 0x80, 0xFE, 0x0F};
+      const u32 at = rng.below(static_cast<u32>(p.size()) + 1);
+      const u32 n = 1 + rng.below(5);
+      for (u32 i = 0; i < n; ++i) {
+        const u8 b = rng.below(2) == 0 ? kBytes[rng.below(6)]
+                                       : static_cast<u8>(rng.below(256));
+        p.insert(p.begin() + at, b);
+      }
+    }
+  }
+}
+
+TEST(CodecFuzz, MutatedStreamsDecodeOrFailTyped) {
+  const codec::Raster raster = codec::test_image(64, 32);
+  util::Rng rng(0xC0DEC);
+  for (const codec::EntropyKind entropy :
+       {codec::EntropyKind::kRle, codec::EntropyKind::kHuffman}) {
+    for (const u32 quality : {1u, 50u}) {
+      const codec::JpegImage seed = codec::encode(raster, quality, entropy);
+      int decoded = 0;
+      int rejected = 0;
+      for (int i = 0; i < 400; ++i) {
+        codec::JpegImage img = seed;
+        const u32 rounds = 1 + rng.below(3);
+        for (u32 r = 0; r < rounds; ++r) mutate_payload(rng, img.payload);
+        try {
+          (void)codec::decode_coefficients(img);
+          (void)codec::decode_quantized(img);
+          ++decoded;
+        } catch (const SimError&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "case " << i << ": untyped " << typeid(e).name()
+                        << ": " << e.what();
+        }
+      }
+      // The stream reaches both outcomes.
+      EXPECT_GT(decoded, 0) << "quality " << quality;
+      EXPECT_GT(rejected, 0) << "quality " << quality;
+    }
   }
 }
 

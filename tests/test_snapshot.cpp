@@ -36,6 +36,7 @@
 #include "fleet/fleet.hpp"
 #include "mem/sram.hpp"
 #include "obs/slo.hpp"
+#include "obs/tracer.hpp"
 #include "ouessant/codegen.hpp"
 #include "platform/soc.hpp"
 #include "rac/idct.hpp"
@@ -786,6 +787,40 @@ TEST(MidRun, RestoreIntoDifferentlyShapedServiceThrows) {
   EXPECT_THROW(c.restore(image), SnapshotError);
 }
 
+TEST(MidRun, FlightRingSpansAServiceRestore) {
+  constexpr std::size_t kRing = 64;
+  svc::OffloadService a(serve_config(false));
+  obs::EventTracer ring_a(a.soc().kernel(), kRing);
+  a.attach_tracer(ring_a);
+  a.begin(serve_workload());
+  for (int i = 0; i < 5 && !a.step(); ++i) {
+  }
+  ASSERT_FALSE(a.finished()) << "workload too small: nothing left to resume";
+  ASSERT_GT(ring_a.dropped(), 0u) << "ring never wrapped before the save";
+  const Snapshot image = a.snapshot();
+
+  // A fresh stack with a ring of the same capacity resumes it exactly
+  // and keeps recording.
+  svc::OffloadService b(serve_config(false));
+  obs::EventTracer ring_b(b.soc().kernel(), kRing);
+  b.attach_tracer(ring_b);
+  b.restore(image);
+  EXPECT_EQ(ring_b.to_json(), ring_a.to_json());
+  EXPECT_EQ(ring_b.dropped(), ring_a.dropped());
+  while (!b.step()) {
+  }
+  EXPECT_GT(ring_b.dropped(), ring_a.dropped());
+
+  // The ring is part of the image's shape: no tracer, or a full trace,
+  // cannot take it.
+  svc::OffloadService bare(serve_config(false));
+  EXPECT_THROW(bare.restore(image), SnapshotError);
+  svc::OffloadService full(serve_config(false));
+  obs::EventTracer keep_all(full.soc().kernel());
+  full.attach_tracer(keep_all);
+  EXPECT_THROW(full.restore(image), SnapshotError);
+}
+
 // -------------------------------------------------------------- fleet layer
 
 TEST(Fleet, WarmBootedShardsServeAndReproduce) {
@@ -852,7 +887,6 @@ fleet::FleetConfig parallel_fleet(bool armed) {
                                        .backoff_mult = 2,
                                        .quarantine_after = 2,
                                        .watchdog_cycles = 16'384};
-  cfg.obs.profiler = true;
   cfg.obs.slo = true;
   cfg.obs.slo_config.classes = {
       obs::SloObjective{

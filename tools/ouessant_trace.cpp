@@ -92,8 +92,9 @@ int run_trace(const std::string& path, std::size_t top_n, bool json,
   std::printf("%s: %zu events on %zu tracks\n", path.c_str(),
               trace.events.size(), trace.track_names.size());
   if (flight) {
-    // A flight dump is an ordinary trace plus the trigger instant the
-    // fault path emitted; surface when and why the ring was frozen.
+    // A flight dump is an ordinary trace plus the trigger instants the
+    // fault path emitted; surface when and why it fired. The ring keeps
+    // recording after a trigger until it is dumped.
     bool triggered = false;
     for (const obs::ParsedEvent& e : trace.events) {
       if (e.ph != 'i' || e.name != "flight_trigger") continue;
